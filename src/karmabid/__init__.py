@@ -30,8 +30,6 @@ from .equilibrium import (
     policy_evaluation,
     q_function,
     solve_sne,
-    stationary_distribution_step,
-    transition_kernel,
 )
 from .model import (
     AgentState,
@@ -110,8 +108,6 @@ __all__ = [
     "solve_sne",
     "solve_standard_form",
     "state_transition",
-    "stationary_distribution_step",
-    "transition_kernel",
     "turn_choose",
     "win_prob_all_bids",
 ]

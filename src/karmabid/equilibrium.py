@@ -8,6 +8,12 @@ damped push-forward of the state distribution, annealing the temperature
 until both the exploitability and the stationarity residual pass their
 tolerances.
 
+The state transition kernel is never formed as an S x S array. A
+TransitionOperator, built once per policy evaluation, applies P (for the
+value solve and for Q) and its push-forward d P through the karma
+landing indices. The values come from restarted GMRES, which solve_sne
+warm-starts at the previous iteration's V.
+
 Layout conventions: private states are (urgency index u, karma k) with
 karma truncated to {0, ..., k_max}; flat state index is u * (k_max+1) + k.
 Value arrays are (n_levels, k_max+1); the policy and Q tables are
@@ -18,6 +24,7 @@ zeroed (policy) or NaN (Q).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +41,16 @@ from .model import (
     redistribution_split,
     win_prob_all_bids,
 )
+
+
+# Krylov basis size of one GMRES cycle, and the cap on operator
+# applications in one value solve. On the case-study game at k_max = 160
+# shorter cycles stall (30 steps per cycle took up to 680 steps in all,
+# 20 did not converge); 100 covers the longest solve seen, 66 steps at
+# k_max = 160 and 89 at k_max = 320, without a restart. A solve that hits
+# the cap falls through to the sup-norm residual check and its SolverError.
+_GMRES_RESTART = 100
+_GMRES_MAX_MATVECS = 3000
 
 
 class SolverError(RuntimeError):
@@ -82,14 +99,20 @@ class ValueTables:
 
     V: expected discounted reward per (u, k).
     R: expected immediate reward per (u, k).
-    P: flat state-to-state transition kernel induced by the policy.
+    transitions: matrix-free transition operator of the evaluated social
+       state; q_function and the push-forward in solve_sne reuse it.
+    matvecs: applications of P spent on V, the final residual check
+       included.
+    inner_iterations: GMRES (Arnoldi) steps spent on V.
     Q: one-step deviation values per (u, k, b), NaN for b > k; filled in
        by q_function.
     """
 
     V: np.ndarray
     R: np.ndarray
-    P: np.ndarray
+    transitions: TransitionOperator = dataclasses.field(repr=False)
+    matvecs: int = 0
+    inner_iterations: int = 0
     Q: np.ndarray | None = None
 
 
@@ -99,7 +122,9 @@ class EquilibriumResult:
 
     residuals has one row per outer iteration with columns
     (stationarity residual in total variation, exploitability), both
-    measured on the social state entering that iteration.
+    measured on the social state entering that iteration. value_matvecs
+    counts the applications of P over all value solves, and
+    max_inner_iterations is the most GMRES steps one value solve took.
     """
 
     social: SocialState
@@ -107,6 +132,8 @@ class EquilibriumResult:
     residuals: np.ndarray
     converged: bool
     iterations: int
+    value_matvecs: int = 0
+    max_inner_iterations: int = 0
 
     @property
     def exploitability(self) -> float:
@@ -123,6 +150,8 @@ class EquilibriumResult:
             "exploitability": self.exploitability,
             "stationarity_residual": self.stationarity_residual,
             "mean_karma": self.social.mean_karma,
+            "value_matvecs": int(self.value_matvecs),
+            "max_inner_iterations": int(self.max_inner_iterations),
         }
 
 
@@ -139,59 +168,110 @@ def initial_social_state(process: UrgencyProcess, config: GameConfig) -> SocialS
     return SocialState(d=d, pi=pi)
 
 
-def _karma_landing(nk: int, p_bar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Truncated landing indices for winners (per k, b) and losers (per k)."""
-    k_max = nk - 1
-    low, high, f_low, f_high = redistribution_split(p_bar)
-    ks = np.arange(nk)
-    # Winner balance k - b + received; infeasible bids (b > k) carry zero
-    # policy weight, the clip just keeps their dummy indices in range.
-    win_lo = np.clip(ks[:, None] - ks[None, :] + low, 0, k_max)
-    win_hi = np.clip(ks[:, None] - ks[None, :] + high, 0, k_max)
-    lose_lo = np.minimum(ks + low, k_max)
-    lose_hi = np.minimum(ks + high, k_max)
-    return win_lo, win_hi, lose_lo, lose_hi, f_low, f_high
+class TransitionOperator:
+    """State transition kernel P induced by a social state, never formed densely.
 
-
-def transition_kernel(process: UrgencyProcess, social: SocialState) -> np.ndarray:
-    """Flat (S x S) state transition kernel induced by the social state.
-
-    Rows are per current (u, k), columns per next (u, k); each row sums
-    to one because truncated overflow is reassigned to k_max.
+    A move splits into a payment and a redistribution. A winner bidding b
+    from balance k keeps j = k - b, a loser keeps j = k; then the urgency
+    moves by phi[outcome] and the balance moves from j to j + low or
+    j + high (fractions f_low, f_high), with overflow above k_max folded
+    into k_max, so every row of P sums to one. karma_win[u, k, j] is the
+    probability of winning and keeping j, lose_weight[u, k] that of
+    losing. Applying P or its push-forward costs O(n_u k_max^2), against
+    O(S^2) for the dense S x S kernel.
     """
-    n_u, nk = social.d.shape
-    nu = bid_marginal(social)
-    gamma0 = win_prob_all_bids(nu)
-    gamma1 = 1.0 - gamma0
-    p_bar = average_payment(social)
-    win_lo, win_hi, lose_lo, lose_hi, f_low, f_high = _karma_landing(nk, p_bar)
 
-    win_weight = social.pi * gamma0[None, None, :]            # (u, k, b)
-    lose_weight = np.einsum("ukb,b->uk", social.pi, gamma1)   # (u, k)
+    def __init__(self, process: UrgencyProcess, social: SocialState):
+        n_u, nk = social.d.shape
+        self.phi = process.phi
+        nu = bid_marginal(social)
+        self.gamma0 = win_prob_all_bids(nu)
+        self.gamma1 = 1.0 - self.gamma0
+        low, high, self.f_low, self.f_high = redistribution_split(average_payment(social, nu))
+        ks = np.arange(nk)
+        self.lo = np.minimum(ks + low, nk - 1)
+        self.hi = np.minimum(ks + high, nk - 1)
+        # [k, x] = (k - x) mod nk: the balance a bid x leaves, or the bid that
+        # leaves balance x. The wrap sends x > k to bids above k, where pi is 0.
+        self.complement = (ks[:, None] - ks[None, :]) % nk
+        flat = (ks[:, None] * nk + self.complement).ravel()
+        self.karma_win = np.take(
+            (social.pi * self.gamma0).reshape(n_u, nk * nk), flat, axis=1
+        ).reshape(n_u, nk, nk)
+        self.lose_weight = social.pi @ self.gamma1
 
-    karma_win = np.zeros((n_u, nk, nk))
-    karma_lose = np.zeros((n_u, nk, nk))
-    u_idx = np.broadcast_to(np.arange(n_u)[:, None, None], win_weight.shape)
-    k_idx = np.broadcast_to(np.arange(nk)[None, :, None], win_weight.shape)
-    for idx, frac in ((win_lo, f_low), (win_hi, f_high)):
-        if frac == 0.0:
-            continue
-        np.add.at(karma_win, (u_idx, k_idx, np.broadcast_to(idx[None], win_weight.shape)),
-                  win_weight * frac)
-    u_idx2 = np.broadcast_to(np.arange(n_u)[:, None], lose_weight.shape)
-    k_idx2 = np.broadcast_to(np.arange(nk)[None, :], lose_weight.shape)
-    for idx, frac in ((lose_lo, f_low), (lose_hi, f_high)):
-        if frac == 0.0:
-            continue
-        np.add.at(karma_lose, (u_idx2, k_idx2, np.broadcast_to(idx[None], lose_weight.shape)),
-                  lose_weight * frac)
+    def continuation(self, values: np.ndarray) -> np.ndarray:
+        """z[o, u, j]: expected V(u', k') after outcome o from urgency u with
+        balance j before redistribution; values shaped (n_u, k_max+1)."""
+        w = self.phi @ values
+        return self.f_low * w[:, :, self.lo] + self.f_high * w[:, :, self.hi]
 
-    kernel = (
-        np.einsum("uv,ukm->ukvm", process.phi[0], karma_win)
-        + np.einsum("uv,ukm->ukvm", process.phi[1], karma_lose)
-    )
-    size = n_u * nk
-    return kernel.reshape(size, size)
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """(P V)[u, k]: expected next-state value."""
+        z = self.continuation(values)
+        return (self.karma_win @ z[0][:, :, None])[:, :, 0] + self.lose_weight * z[1]
+
+    def push(self, d: np.ndarray) -> np.ndarray:
+        """(d P)[v, m]: the distribution d, shaped (n_u, k_max+1), one step on."""
+        n_u, nk = d.shape
+        paid = (d[:, None, :] @ self.karma_win)[:, 0, :]
+        moved = (self.phi[0].T @ paid + self.phi[1].T @ (d * self.lose_weight)).ravel()
+        rows = np.arange(n_u)[:, None] * nk
+        landing = np.concatenate([(rows + self.lo).ravel(), (rows + self.hi).ravel()])
+        weights = np.concatenate([moved * self.f_low, moved * self.f_high])
+        return np.bincount(landing, weights, n_u * nk).reshape(n_u, nk)
+
+
+def _gmres(apply_a, rhs: np.ndarray, x0: np.ndarray, tol: float) -> tuple[np.ndarray, int, int]:
+    """Restarted GMRES (Saad & Schultz 1986) for A x = rhs, started from x0.
+
+    Stops once the true residual's 2-norm is at most tol, or once
+    _GMRES_MAX_MATVECS applications of A are spent. The Arnoldi basis is
+    orthogonalized by classical Gram-Schmidt applied twice; Givens
+    rotations keep the Hessenberg least-squares problem triangular.
+    Returns (x, applications of A, Arnoldi steps).
+    """
+    x = x0.copy()
+    m = min(_GMRES_RESTART, rhs.size)
+    basis = np.empty((m + 1, rhs.size))
+    matvecs = steps = 0
+    while True:
+        r = rhs - apply_a(x)
+        matvecs += 1
+        beta = math.sqrt(r @ r)
+        if beta <= tol or matvecs >= _GMRES_MAX_MATVECS:
+            return x, matvecs, steps
+        basis[0] = r / beta
+        tri = np.zeros((m, m))
+        g = np.zeros(m + 1)
+        g[0] = beta
+        cs: list[float] = []
+        sn: list[float] = []
+        for j in range(m):
+            w = apply_a(basis[j])
+            matvecs += 1
+            steps += 1
+            h = basis[: j + 1] @ w
+            w -= h @ basis[: j + 1]
+            h2 = basis[: j + 1] @ w
+            w -= h2 @ basis[: j + 1]
+            col = (h + h2).tolist()
+            h_next = math.sqrt(w @ w)
+            for i in range(j):
+                col[i], col[i + 1] = cs[i] * col[i] + sn[i] * col[i + 1], cs[i] * col[i + 1] - sn[i] * col[i]
+            radius = math.hypot(col[j], h_next)
+            cs.append(col[j] / radius)
+            sn.append(h_next / radius)
+            col[j] = radius
+            tri[: j + 1, j] = col
+            g[j + 1] = -sn[j] * g[j]
+            g[j] = cs[j] * g[j]
+            if abs(g[j + 1]) <= tol or h_next == 0.0 or matvecs >= _GMRES_MAX_MATVECS:
+                break
+            basis[j + 1] = w / h_next
+        n = j + 1
+        y = np.linalg.solve(tri[:n, :n], g[:n])
+        x += y @ basis[:n]
 
 
 def policy_evaluation(
@@ -199,31 +279,39 @@ def policy_evaluation(
     social: SocialState,
     config: GameConfig,
     solver: SolverConfig | None = None,
+    initial: np.ndarray | None = None,
 ) -> ValueTables:
-    """Evaluate the shared policy: immediate rewards, kernel, and values.
+    """Evaluate the shared policy: immediate rewards, transitions, and values.
 
-    V solves the discounted fixed-point equation V = R + alpha P V by a
-    direct dense solve; the result must meet tol_value in sup norm.
+    V solves the discounted fixed-point equation (I - alpha P) V = R by
+    restarted GMRES on the matrix-free transition operator, started from
+    initial (values shaped like V; zeros if None) and stopped at 2-norm
+    residual tol_value; the result must then meet tol_value in sup norm.
 
     Raises:
         SolverError: if the value residual exceeds tol_value (carries the
             residual).
     """
     solver = solver if solver is not None else SolverConfig()
-    nu = bid_marginal(social)
-    gamma1 = 1.0 - win_prob_all_bids(nu)
-    xi = -np.outer(process.level_values, gamma1)          # (u, b)
-    reward = np.einsum("ukb,ub->uk", social.pi, xi)
-    kernel = transition_kernel(process, social)
-    size = reward.size
-    flat = np.linalg.solve(np.eye(size) - config.alpha * kernel, reward.ravel())
-    residual = float(np.abs(flat - (reward.ravel() + config.alpha * (kernel @ flat))).max())
-    if residual > solver.tol_value:
+    transitions = TransitionOperator(process, social)
+    reward = -process.level_values[:, None] * transitions.lose_weight
+    shape = reward.shape
+    alpha = config.alpha
+
+    def apply_a(flat: np.ndarray) -> np.ndarray:
+        return flat - alpha * transitions.apply(flat.reshape(shape)).ravel()
+
+    start = np.zeros(reward.size) if initial is None else np.asarray(initial, dtype=float).ravel()
+    flat, matvecs, steps = _gmres(apply_a, reward.ravel(), start, solver.tol_value)
+    values = flat.reshape(shape)
+    residual = float(np.abs(values - (reward + alpha * transitions.apply(values))).max())
+    if not residual <= solver.tol_value:  # also rejects a NaN residual
         raise SolverError(
             f"policy evaluation residual {residual:.3e} exceeds tol_value {solver.tol_value:.3e}",
             residual=residual,
         )
-    return ValueTables(V=flat.reshape(reward.shape), R=reward, P=kernel)
+    return ValueTables(V=values, R=reward, transitions=transitions,
+                       matvecs=matvecs + 1, inner_iterations=steps)
 
 
 def q_function(
@@ -235,25 +323,17 @@ def q_function(
     """One-step deviation values Q[u, k, b] for every feasible bid b <= k.
 
     Q is the immediate reward of bidding b plus the discounted expected
-    continuation value over the outcome-mixed karma and urgency moves.
+    continuation value over the outcome-mixed karma and urgency moves,
+    read through the transition operator of the same evaluation.
     Entries with b > k are NaN (absent).
     """
-    n_u, nk = social.d.shape
-    nu = bid_marginal(social)
-    gamma0 = win_prob_all_bids(nu)
-    gamma1 = 1.0 - gamma0
-    p_bar = average_payment(social)
-    win_lo, win_hi, lose_lo, lose_hi, f_low, f_high = _karma_landing(nk, p_bar)
-
-    w_next = np.einsum("ouv,vk->ouk", process.phi, values.V)  # E[V | o, u, k+]
-    exp_win = f_low * w_next[0][:, win_lo] + f_high * w_next[0][:, win_hi]     # (u, k, b)
-    exp_lose = f_low * w_next[1][:, lose_lo] + f_high * w_next[1][:, lose_hi]  # (u, k)
-
-    xi = -np.outer(process.level_values, gamma1)
+    op = values.transitions
+    z = op.continuation(values.V)
+    xi = -np.outer(process.level_values, op.gamma1)
     q = xi[:, None, :] + config.alpha * (
-        gamma0[None, None, :] * exp_win + gamma1[None, None, :] * exp_lose[:, :, None]
+        op.gamma0 * z[0][:, op.complement] + op.gamma1 * z[1][:, :, None]
     )
-    feas = feasible_bids(nk - 1)[None, :, :]
+    feas = feasible_bids(social.k_max)[None, :, :]
     return np.where(feas, q, np.nan)
 
 
@@ -282,22 +362,6 @@ def perturbed_best_response(q: np.ndarray, temperature: float) -> np.ndarray:
     return weights / weights.sum(axis=2, keepdims=True)
 
 
-def stationary_distribution_step(
-    process: UrgencyProcess, social: SocialState, step_size: float
-) -> SocialState:
-    """One damped push of the state distribution through the kernel.
-
-    Returns a social state with d <- (1 - step) d + step (d P) and the
-    policy unchanged. A stationary d is a fixed point.
-    """
-    if not 0.0 < step_size <= 1.0:
-        raise ParameterError(f"step_size must lie in (0, 1], got {step_size}")
-    kernel = transition_kernel(process, social)
-    push = (social.d.ravel() @ kernel).reshape(social.d.shape)
-    d_new = (1.0 - step_size) * social.d + step_size * push
-    return SocialState(d=d_new, pi=social.pi)
-
-
 def solve_sne(
     process: UrgencyProcess,
     config: GameConfig,
@@ -306,11 +370,12 @@ def solve_sne(
 ) -> EquilibriumResult:
     """Iterate smoothed best response with annealing to a stationary equilibrium.
 
-    Each outer iteration evaluates the current social state, records its
-    residual pair, and stops as soon as both exploitability and the
-    stationarity residual meet their tolerances; otherwise the policy is
-    mixed toward the softmax best response and the distribution is pushed
-    one damped step, reusing the kernel of the evaluation. Deterministic:
+    Each outer iteration evaluates the current social state (warm-starting
+    the value solve from the previous V), records its residual pair, and
+    stops as soon as both exploitability and the stationarity residual
+    meet their tolerances; otherwise the policy is mixed toward the
+    softmax best response and the distribution is pushed one damped step,
+    reusing the transition operator of the evaluation. Deterministic:
     identical inputs give bit-identical residual traces.
 
     Non-convergence is reported through converged=False on the result,
@@ -328,13 +393,16 @@ def solve_sne(
     converged = False
     values: ValueTables | None = None
     q: np.ndarray | None = None
-    iterations = 0
+    iterations = matvecs = max_inner = 0
 
     for iterations in range(1, solver.max_outer_iters + 1):
-        values = policy_evaluation(process, social, config, solver)
+        values = policy_evaluation(process, social, config, solver,
+                                   initial=None if values is None else values.V)
+        matvecs += values.matvecs
+        max_inner = max(max_inner, values.inner_iterations)
         q = q_function(values, process, social, config)
         expl = exploitability(q, social.pi)
-        push = (social.d.ravel() @ values.P).reshape(social.d.shape)
+        push = values.transitions.push(social.d)
         resid = 0.5 * float(np.abs(push - social.d).sum())
         trace.append((resid, expl))
         if expl <= solver.tol_policy and resid <= solver.tol_distribution:
@@ -355,6 +423,8 @@ def solve_sne(
         residuals=np.asarray(trace),
         converged=converged,
         iterations=iterations,
+        value_matvecs=matvecs,
+        max_inner_iterations=max_inner,
     )
 
 

@@ -76,12 +76,13 @@ class UrgencyProcess:
 
     def _mixture_irreducible(self) -> bool:
         # Reachability on the 0.5/0.5 outcome mixture: every level must be
-        # able to reach every other one.
+        # able to reach every other one. Each boolean squaring doubles the
+        # path length covered, and ceil(log2 n) of them cover the n - 1
+        # steps the longest shortest path can need.
         n = self.n_levels
-        adj = ((self.phi[WIN] + self.phi[LOSE]) > 0).astype(np.uint8)
-        reach = (np.eye(n, dtype=np.uint8) + adj > 0).astype(np.uint8)
-        for _ in range(n):
-            reach = ((reach @ reach) > 0).astype(np.uint8)
+        reach = np.eye(n, dtype=bool) | ((self.phi[WIN] + self.phi[LOSE]) > 0)
+        for _ in range((n - 1).bit_length()):
+            reach = reach @ reach
         return bool(reach.all())
 
     @property
@@ -287,17 +288,16 @@ def immediate_reward(u_value: float, gamma: np.ndarray) -> float:
     return -float(u_value) * float(gamma[LOSE])
 
 
-def average_payment(social: SocialState) -> float:
+def average_payment(social: SocialState, nu: np.ndarray | None = None) -> float:
     """Population-average payment collected per interaction.
 
     Each agent pays its bid when it wins, nothing otherwise; the average
-    of gamma0[b] * b over the social state is the per-capita pool that
-    gets redistributed.
+    of gamma0[b] * b over the social state, sum_b nu[b] gamma0[b] b, is
+    the per-capita pool that gets redistributed. nu is the social state's
+    bid marginal, for a caller that already has it.
     """
-    nu = bid_marginal(social)
-    gamma0 = win_prob_all_bids(nu)
-    bids = np.arange(nu.shape[0], dtype=float)
-    return float(np.einsum("uk,ukb,b,b->", social.d, social.pi, gamma0, bids))
+    nu = bid_marginal(social) if nu is None else nu
+    return float(nu @ (win_prob_all_bids(nu) * np.arange(nu.shape[0])))
 
 
 def redistribution_split(p_bar: float) -> tuple[int, int, float, float]:

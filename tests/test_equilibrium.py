@@ -1,6 +1,9 @@
 """Equilibrium solver tests: evaluation against dense and power-iteration
 oracles, best-response limits, and convergence behavior on small games."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,10 +22,9 @@ from karmabid import (
     policy_evaluation,
     q_function,
     solve_sne,
-    stationary_distribution_step,
-    transition_kernel,
     win_prob_all_bids,
 )
+from karmabid.equilibrium import TransitionOperator
 from conftest import make_random_social
 from oracles import (
     deviation_gains_oracle,
@@ -36,6 +38,20 @@ from oracles import (
 
 def zero_level_process() -> UrgencyProcess:
     return UrgencyProcess(levels=(0,), phi=np.ones((2, 1, 1)), epsilon=0.5)
+
+
+def push_step(process: UrgencyProcess, social: SocialState, step_size: float) -> SocialState:
+    """One damped push of d through the transitions of the social state itself."""
+    push = TransitionOperator(process, social).push(social.d)
+    return SocialState(d=(1.0 - step_size) * social.d + step_size * push, pi=social.pi)
+
+
+def assert_operator_matches_oracle(process: UrgencyProcess, social: SocialState, seed: int) -> None:
+    op = TransitionOperator(process, social)
+    kernel = kernel_oracle(process, social)
+    values = np.random.default_rng(seed).standard_normal(social.d.shape)
+    np.testing.assert_allclose(op.apply(values).ravel(), kernel @ values.ravel(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.push(social.d).ravel(), social.d.ravel() @ kernel, rtol=0, atol=1e-12)
 
 
 class TestPolicyEvaluation:
@@ -70,11 +86,42 @@ class TestPolicyEvaluation:
         assert v.min() >= -bound - 1e-9
 
     def test_residual_contract_raises_with_residual(self, case_process, case_config):
+        # No iterate reaches 1e-300, so this also checks that the capped
+        # iterative solve gives up in bounded time.
         social = initial_social_state(case_process, case_config)
         strict = SolverConfig(tol_value=1e-300)
+        start = time.perf_counter()
         with pytest.raises(SolverError) as err:
             policy_evaluation(case_process, social, case_config, strict)
         assert err.value.residual > 0
+        assert time.perf_counter() - start < 30.0
+
+    def test_warm_start_matches_cold_start(self, case_process, case_config):
+        rng = np.random.default_rng(4)
+        social = make_random_social(rng, case_process.n_levels, case_config.k_max)
+        cold = policy_evaluation(case_process, social, case_config)
+        arbitrary = 100.0 * rng.standard_normal(social.d.shape)
+        warm = policy_evaluation(case_process, social, case_config, initial=arbitrary)
+        np.testing.assert_allclose(warm.V, cold.V, rtol=0, atol=1e-8)
+
+    def test_non_finite_start_raises(self, case_process, case_config):
+        social = initial_social_state(case_process, case_config)
+        with pytest.raises(SolverError):
+            policy_evaluation(case_process, social, case_config,
+                              initial=np.full(social.d.shape, np.nan))
+
+    def test_peak_memory_stays_below_dense_kernel(self, case_process):
+        # A dense S x S float kernel at k_max = 160 alone takes S^2 * 8 bytes.
+        config = GameConfig(k_max=160)
+        social = initial_social_state(case_process, config)
+        size = social.d.size
+        tracemalloc.start()
+        try:
+            policy_evaluation(case_process, social, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size * size * 8
 
 
 class TestQFunction:
@@ -150,19 +197,17 @@ class TestStationaryDistributionStep:
         d0 = np.zeros((3, nk))
         d0[:, 3] = 1.0 / 3.0
         social = SocialState(d=d0, pi=pi)
-        kernel = transition_kernel(proc, social)
-        stationary = power_iteration_oracle(kernel).reshape(3, nk)
+        stationary = power_iteration_oracle(kernel_oracle(proc, social)).reshape(3, nk)
         fixed = SocialState(d=stationary, pi=pi)
-        stepped = stationary_distribution_step(proc, fixed, step_size=0.5)
+        stepped = push_step(proc, fixed, step_size=0.5)
         assert 0.5 * np.abs(stepped.d - fixed.d).sum() <= 1e-12
 
     def test_full_step_is_exact_push_forward(self, case_process):
         rng = np.random.default_rng(9)
         social = make_random_social(rng, case_process.n_levels, 9)
-        kernel = transition_kernel(case_process, social)
-        push = (social.d.ravel() @ kernel).reshape(social.d.shape)
-        stepped = stationary_distribution_step(case_process, social, step_size=1.0)
-        np.testing.assert_allclose(stepped.d, push / push.sum(), atol=1e-14)
+        push = (social.d.ravel() @ kernel_oracle(case_process, social)).reshape(social.d.shape)
+        stepped = push_step(case_process, social, step_size=1.0)
+        np.testing.assert_allclose(stepped.d, push / push.sum(), atol=1e-12)
 
     def test_repeated_steps_reach_power_iteration_limit(self, case_process, case_config, case_equilibrium):
         # Arbitrary start pushed through the equilibrium policy's dynamics;
@@ -171,44 +216,69 @@ class TestStationaryDistributionStep:
         d_start[0, case_config.k_bar] = 1.0
         social = SocialState(d=d_start, pi=case_equilibrium.social.pi)
         for _ in range(5000):
-            new = stationary_distribution_step(case_process, social, step_size=1.0)
+            new = push_step(case_process, social, step_size=1.0)
             change = 0.5 * np.abs(new.d - social.d).sum()
             social = new
             if change <= 1e-12:
                 break
         assert change <= 1e-12, f"push-forward iteration still moving by {change:.3e}"
-        kernel = transition_kernel(case_process, social)
-        limit = power_iteration_oracle(kernel).reshape(social.d.shape)
+        limit = power_iteration_oracle(kernel_oracle(case_process, social)).reshape(social.d.shape)
         assert 0.5 * np.abs(social.d - limit).sum() <= 1e-6
 
     def test_mean_karma_preserved_per_step_at_defaults(self, case_process, case_config):
         social = initial_social_state(case_process, case_config)
         for _ in range(5):
-            stepped = stationary_distribution_step(case_process, social, step_size=0.2)
+            stepped = push_step(case_process, social, step_size=0.2)
             assert abs(stepped.d.sum() - 1.0) <= 1e-12
             assert abs(stepped.mean_karma - social.mean_karma) <= 1e-6
             social = stepped
 
-    def test_rejects_bad_step_size(self, case_process, case_config):
-        social = initial_social_state(case_process, case_config)
-        with pytest.raises(ParameterError):
-            stationary_distribution_step(case_process, social, step_size=0.0)
+    def test_rejects_bad_step_size(self):
+        for step_size in (0.0, 1.5):
+            with pytest.raises(ParameterError):
+                SolverConfig(step_size=step_size)
 
 
 class TestTransitionKernel:
     def test_rows_are_stochastic(self, case_process):
         rng = np.random.default_rng(13)
         social = make_random_social(rng, case_process.n_levels, 9)
-        kernel = transition_kernel(case_process, social)
-        np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-10)
-        assert kernel.min() >= 0.0
+        op = TransitionOperator(case_process, social)
+        np.testing.assert_allclose(op.apply(np.ones(social.d.shape)), 1.0, atol=1e-10)
+        assert op.karma_win.min() >= 0.0 and op.lose_weight.min() >= 0.0
 
     def test_matches_bruteforce(self, case_process):
         rng = np.random.default_rng(14)
         social = make_random_social(rng, case_process.n_levels, 7)
-        np.testing.assert_allclose(
-            transition_kernel(case_process, social), kernel_oracle(case_process, social), atol=1e-12
-        )
+        assert_operator_matches_oracle(case_process, social, seed=15)
+
+    def test_integral_payment_matches_bruteforce(self, case_process):
+        # Everyone holds 4 and bids 4: a bid of 4 wins half the time, so
+        # p_bar = 2 exactly and only the ceiling branch carries mass.
+        nk = 9
+        d = np.zeros((case_process.n_levels, nk))
+        d[:, 4] = 1.0 / case_process.n_levels
+        pi = np.zeros((case_process.n_levels, nk, nk))
+        for k in range(nk):
+            pi[:, k, min(k, 4)] = 1.0
+        social = SocialState(d=d, pi=pi)
+        assert TransitionOperator(case_process, social).f_low == 0.0
+        assert_operator_matches_oracle(case_process, social, seed=16)
+
+    def test_overflow_folds_into_k_max(self, case_process):
+        # Mass at the top balance: losers receive p_bar > 0 and would land
+        # above k_max, so the push-forward must keep it at k_max.
+        rng = np.random.default_rng(17)
+        nk = 6
+        d = np.zeros((case_process.n_levels, nk))
+        d[:, -2:] = rng.random((case_process.n_levels, 2))
+        d /= d.sum()
+        pi = rng.random((case_process.n_levels, nk, nk)) * np.tril(np.ones((nk, nk)))
+        social = SocialState(d=d, pi=pi / pi.sum(axis=2, keepdims=True))
+        push = TransitionOperator(case_process, social).push(social.d)
+        assert push[:, -1].sum() > 0.0
+        assert abs(push.sum() - 1.0) <= 1e-12
+        assert_operator_matches_oracle(case_process, social, seed=18)
 
 
 class TestSolveSne:
@@ -244,12 +314,20 @@ class TestSolveSne:
         assert (trace[:, 1] >= 0.0).all()
         assert trace.shape[0] == case_equilibrium.iterations
 
+    def test_summary_reports_value_solve_counts(self, case_equilibrium):
+        # Every evaluation applies P at least for its starting residual
+        # and for the final sup-norm check.
+        summary = case_equilibrium.summary()
+        assert summary["value_matvecs"] >= 2 * case_equilibrium.iterations
+        assert 1 <= summary["max_inner_iterations"] < summary["value_matvecs"]
+
     def test_deterministic_residual_traces(self, small_game):
         process, config = small_game
         solver = SolverConfig(max_outer_iters=120)
         first = solve_sne(process, config, solver)
         second = solve_sne(process, config, solver)
         assert np.array_equal(first.residuals, second.residuals)
+        assert first.summary() == second.summary()
         np.testing.assert_array_equal(first.social.d, second.social.d)
         np.testing.assert_array_equal(first.social.pi, second.social.pi)
 

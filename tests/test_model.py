@@ -79,6 +79,28 @@ class TestBuildUrgencyProcess:
         with pytest.raises(ParameterError):
             UrgencyProcess(levels=(1, 2), phi=phi, epsilon=0.1)
 
+    def test_accepts_256_levels(self):
+        # Path counts of a fully mixing 256-level chain reach 256, which a
+        # uint8 reachability matrix would wrap to zero.
+        proc = build_urgency_process(range(1, 257), 0.04)
+        assert proc.n_levels == 256
+
+    def test_accepts_cycle_needing_longest_path(self):
+        # A one-way cycle connects level 0 to level n-1 only through n-1 steps.
+        n = 256
+        phi = np.zeros((2, n, n))
+        phi[:, np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        assert UrgencyProcess(levels=tuple(range(n)), phi=phi, epsilon=0.1).n_levels == n
+
+    def test_rejects_reducible_chain(self):
+        # Escalation that saturates at the top under both outcomes: the top
+        # level can never return to the others.
+        n = 5
+        phi = np.zeros((2, n, n))
+        phi[:, np.arange(n), np.minimum(np.arange(n) + 1, n - 1)] = 1.0
+        with pytest.raises(ParameterError, match="irreducible"):
+            UrgencyProcess(levels=tuple(range(n)), phi=phi, epsilon=0.1)
+
 
 class TestOutcomeProbability:
     def test_higher_bid_wins(self):
