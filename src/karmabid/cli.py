@@ -162,7 +162,9 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
         return EXIT_NO_CONVERGENCE
 
     problem = build_max_eff_lp(setup.process)
+    start = time.perf_counter()
     lp_value, _psi = solve_lp(problem)
+    timings["lp_seconds"] = time.perf_counter() - start
 
     mechanisms = [
         Mechanism.karma(result),

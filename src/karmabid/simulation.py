@@ -9,13 +9,18 @@ a uniformly chosen set of (pool mod N) agents receives one extra unit,
 so the total karma supply never changes. Urgencies then transition on
 the outcome-conditioned chain.
 
+Bids and urgency transitions are exact inverse-CDF samples: each draw
+is located in its agent's row of a cumulative table by a vectorised
+binary search. The bid table (the policy's cumulative sums over bids)
+is built once per Mechanism, so a round builds no per-agent row table.
+
 All randomness flows through one seeded generator in a fixed draw order,
 so runs are reproducible bit for bit from (config, mechanism, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -23,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibrium import EquilibriumResult
-from .model import AgentState, GameConfig, ParameterError, UrgencyProcess
+from .model import GameConfig, ParameterError, UrgencyProcess
 
 
 class MechanismKind(str, Enum):
@@ -39,11 +44,14 @@ class Mechanism:
 
     KARMA needs the bidding policy of a converged equilibrium; the other
     kinds carry no extra state here (TURN counters live on the
-    population).
+    population). bid_cdf is derived once from the policy: row
+    u * (k_max + 1) + k holds the cumulative bid probabilities of an
+    agent at urgency u with balance k.
     """
 
     kind: MechanismKind
     policy: Optional[np.ndarray] = None
+    bid_cdf: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is MechanismKind.KARMA:
@@ -52,6 +60,8 @@ class Mechanism:
             self.policy = np.asarray(self.policy, dtype=float)
             if self.policy.ndim != 3 or self.policy.shape[1] != self.policy.shape[2]:
                 raise ParameterError(f"policy must be (levels, k+1, k+1), got {self.policy.shape}")
+            nk = self.policy.shape[2]
+            self.bid_cdf = np.cumsum(self.policy, axis=2).reshape(-1, nk)
         elif self.policy is not None:
             raise ParameterError(f"{self.kind.value} does not take a policy")
 
@@ -81,9 +91,7 @@ class Population:
     u: np.ndarray
     karma: np.ndarray
     wins: np.ndarray
-    interactions: np.ndarray
     reward_sums: np.ndarray
-    rounds_played: np.ndarray
     rng: np.random.Generator
 
     @property
@@ -92,9 +100,6 @@ class Population:
 
     def total_karma(self) -> int:
         return int(self.karma.sum())
-
-    def agent_state(self, i: int) -> AgentState:
-        return AgentState(u=int(self.u[i]), k=int(self.karma[i]))
 
 
 @dataclass
@@ -151,20 +156,38 @@ def initialize_population(config: GameConfig, mechanism: Mechanism) -> Populatio
         u=np.zeros(n, dtype=np.int64),
         karma=np.full(n, config.k_bar, dtype=np.int64),
         wins=np.zeros(n, dtype=np.int64),
-        interactions=np.zeros(n, dtype=np.int64),
         reward_sums=np.zeros(n, dtype=float),
-        rounds_played=np.zeros(n, dtype=np.int64),
         rng=np.random.default_rng(config.rng_seed),
     )
 
 
-def _sample_rows(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample, one categorical row per draw."""
-    cdf = np.cumsum(rows, axis=1)
-    idx = (draws[:, None] > cdf).sum(axis=1)
-    # a draw above a cumulative sum that rounded below 1 must not fall
-    # past the last category
-    return np.minimum(idx, rows.shape[1] - 1)
+def _sample_cdf(cdf: np.ndarray, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sample from row state[i] of the table cdf for each draw.
+
+    cdf is (n_states, m) with non-decreasing rows. The result is the
+    number of entries of the row strictly below the draw, clamped to
+    m - 1 so that a draw above a row sum that rounded below 1 does not
+    fall past the last category. Counting over the first m - 1 entries
+    only gives that clamp for free.
+
+    The count is found by binary lifting, one gather and one compare per
+    agent and step, ceil(log2(m)) steps in all: a first probe at column
+    n - h (n = m - 1, h the largest power of two <= n) narrows the count
+    to a window of h values starting at 0 or n - h + 1, and each further
+    probe halves the window.
+    """
+    m = cdf.shape[1]
+    n = m - 1
+    if n == 0:
+        return np.zeros(state.shape, dtype=np.int64)
+    flat = cdf.ravel()
+    start = state * m
+    h = 1 << (n.bit_length() - 1)
+    pos = start + (n - h + 1) * (np.take(flat, start + (n - h)) < draws)
+    while h > 1:
+        h //= 2
+        pos += h * (np.take(flat, pos + (h - 1)) < draws)
+    return pos - start
 
 
 def _pick_winners(
@@ -182,12 +205,10 @@ def _pick_winners(
     if mechanism.kind is MechanismKind.RANDOM:
         return coin_first
     if mechanism.kind is MechanismKind.TURN:
-        # A fresh 0/0 history counts as fraction zero.
-        ff = np.where(pop.interactions[first] > 0,
-                      pop.wins[first] / np.maximum(pop.interactions[first], 1), 0.0)
-        fs = np.where(pop.interactions[second] > 0,
-                      pop.wins[second] / np.maximum(pop.interactions[second], 1), 0.0)
-        return np.where(ff == fs, coin_first, ff < fs)
+        # Everyone plays every round, so all win fractions share one
+        # denominator and comparing win counts gives the same decisions.
+        wf, ws = pop.wins[first], pop.wins[second]
+        return np.where(wf == ws, coin_first, wf < ws)
     if mechanism.kind is MechanismKind.GREEDY_URGENCY:
         uf, us = pop.u[first], pop.u[second]
         return np.where(uf == us, coin_first, uf > us)
@@ -210,11 +231,10 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
 
     bids: Optional[np.ndarray] = None
     if mechanism.kind is MechanismKind.KARMA:
-        policy = mechanism.policy
-        k_cap = policy.shape[1] - 1
-        rows = policy[pop.u, np.minimum(pop.karma, k_cap)]
-        bids = _sample_rows(rows, rng.random(n))
-        # Balances above the policy truncation look like k_cap to the
+        nk = mechanism.policy.shape[1]
+        state = pop.u * nk + np.minimum(pop.karma, nk - 1)
+        bids = _sample_cdf(mechanism.bid_cdf, state, rng.random(n))
+        # Balances above the policy truncation look like k_max to the
         # policy but the bid must never exceed the true balance.
         bids = np.minimum(bids, pop.karma)
 
@@ -237,14 +257,15 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
             pop.karma[lucky] += 1
 
     pop.wins[winners] += 1
-    pop.interactions += 1
 
-    outcome = np.ones(n, dtype=np.int64)
-    outcome[winners] = 0
-    pop.u = _sample_rows(process.phi[outcome, pop.u], rng.random(n))
+    # urgency state outcome * n_levels + u, outcome 0 for winners
+    n_levels = process.n_levels
+    state = pop.u + n_levels
+    state[winners] -= n_levels
+    urgency_cdf = np.cumsum(process.phi, axis=2).reshape(-1, n_levels)
+    pop.u = _sample_cdf(urgency_cdf, state, rng.random(n))
 
     pop.reward_sums += rewards
-    pop.rounds_played += 1
     return rewards
 
 

@@ -50,6 +50,14 @@ def average_payment_oracle(social: SocialState) -> float:
     return total
 
 
+def sample_rows_oracle(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sample, one categorical row per draw: the number of
+    cumulative sums strictly below the draw, clamped to the last column."""
+    cdf = np.cumsum(rows, axis=1)
+    idx = (draws[:, None] > cdf).sum(axis=1)
+    return np.minimum(idx, rows.shape[1] - 1)
+
+
 def karma_transition_oracle(k: int, b: int, o: int, p_bar: float, k_max: int) -> dict[int, float]:
     low = math.floor(p_bar)
     high = math.ceil(p_bar)

@@ -156,6 +156,16 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(manifest_path), "--out", str(out2)]) == 0
         assert (out2 / "comparison.csv").read_bytes() == csv1.encode()
 
+    def test_manifest_times_every_stage(self, tiny_config, tmp_path):
+        out = tmp_path / "a"
+        assert main(["compare", "--config", str(tiny_config), "--out", str(out)]) == 0
+        timings = RunManifest.from_json((out / "manifest.json").read_text()).timings
+        assert set(timings) == {
+            "solve_seconds", "lp_seconds", "simulate_karma_seconds", "simulate_random_seconds",
+            "simulate_turn_seconds", "simulate_greedy_urgency_seconds",
+        }
+        assert all(value >= 0 for value in timings.values())
+
     def test_seed_override_changes_rows(self, tiny_config, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"

@@ -1,5 +1,8 @@
 """Population-simulator tests: exact karma accounting, reward bookkeeping,
-urgency-chain statistics, and seed determinism."""
+urgency-chain statistics, exact inverse-CDF sampling, and seed
+determinism."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from karmabid import (
     run_round,
     solve_sne,
 )
+from karmabid.simulation import _sample_cdf
+from oracles import sample_rows_oracle
 
 
 def uniform_policy(n_levels: int, k_max: int) -> np.ndarray:
@@ -39,7 +44,8 @@ class TestInitializePopulation:
         pop = initialize_population(case_config, Mechanism.random())
         assert pop.total_karma() == 1000 * 10
         assert (pop.u == 0).all()
-        assert (pop.wins == 0).all() and (pop.interactions == 0).all()
+        assert (pop.wins == 0).all()
+        assert (pop.reward_sums == 0).all()
 
     def test_deterministic_under_seed(self, small_setup):
         _process, config = small_setup
@@ -53,11 +59,11 @@ class TestInitializePopulation:
         with pytest.raises(ParameterError):
             initialize_population(config, Mechanism.random())
 
-    def test_agent_state_accessor(self, small_setup):
+    def test_agent_state_arrays(self, small_setup):
         _process, config = small_setup
         pop = initialize_population(config, Mechanism.random())
-        state = pop.agent_state(0)
-        assert (state.u, state.k) == (0, 5)
+        assert (int(pop.u[0]), int(pop.karma[0])) == (0, 5)
+        assert pop.u.dtype == pop.karma.dtype == np.int64
 
 
 class TestMechanism:
@@ -155,6 +161,119 @@ def point_zero_policy(n_levels: int, k_max: int) -> np.ndarray:
     return pi
 
 
+def pinned_policy(n_levels: int, k_max: int) -> np.ndarray:
+    """Seeded random policy with many zero-probability bids."""
+    rng = np.random.default_rng(5)
+    nk = k_max + 1
+    pi = rng.random((n_levels, nk, nk)) * np.tril(np.ones((nk, nk)))
+    pi[rng.random(pi.shape) < 0.4] = 0.0
+    pi[:, :, 0] += 0.05
+    return pi / pi.sum(axis=2, keepdims=True)
+
+
+def random_rows(rng: np.random.Generator, n_rows: int, width: int) -> np.ndarray:
+    rows = rng.random((n_rows, width))
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[:, rng.integers(width)] = 0.0  # one column never drawn
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+class TestSampleCdf:
+    """_sample_cdf must reproduce the brute-force inverse-CDF sample bit
+    for bit: the simulator's draws depend on it."""
+
+    @staticmethod
+    def check(rows: np.ndarray, state: np.ndarray, draws: np.ndarray) -> None:
+        expected = sample_rows_oracle(rows[state], draws)
+        got = _sample_cdf(np.cumsum(rows, axis=1), state, draws)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 41, 64, 161, 256])
+    def test_matches_oracle_on_random_rows(self, width):
+        rng = np.random.default_rng(width)
+        rows = random_rows(rng, 7, width)
+        state = rng.integers(7, size=20000)
+        self.check(rows, state, rng.random(20000))
+
+    @pytest.mark.parametrize("width", [2, 5, 41, 64, 161, 256])
+    def test_draws_equal_to_cdf_entries(self, width):
+        rng = np.random.default_rng(100 + width)
+        rows = random_rows(rng, 4, width)
+        cdf = np.cumsum(rows, axis=1)
+        state = np.repeat(np.arange(4), width)
+        draws = cdf[state, np.tile(np.arange(width), 4)]
+        self.check(rows, state, draws)
+        # just above and just below every entry as well
+        self.check(rows, state, np.nextafter(draws, 2.0))
+        self.check(rows, state, np.nextafter(draws, -1.0))
+
+    @pytest.mark.parametrize("width", [2, 5, 41, 161])
+    def test_draw_above_short_row_sum_takes_last_column(self, width):
+        rows = np.full((1, width), 1.0 / width)
+        rows[0, -1] = 0.0
+        rows[0, 0] += 1.0 / width * (1 - 1e-9)  # row sum rounds below 1
+        total = np.cumsum(rows, axis=1)[0, -1]
+        assert total < 1.0
+        draws = np.array([total, np.nextafter(total, 2.0), np.nextafter(1.0, 0.0)])
+        state = np.zeros(3, dtype=np.int64)
+        self.check(rows, state, draws)
+        assert list(_sample_cdf(np.cumsum(rows, axis=1), state, draws)) == [
+            width - 2, width - 1, width - 1]
+
+    def test_balances_above_k_max_use_the_top_row(self):
+        rng = np.random.default_rng(8)
+        k_max, n = 12, 5000
+        policy = pinned_policy(3, k_max)
+        mechanism = Mechanism(kind=MechanismKind.KARMA, policy=policy)
+        u = rng.integers(3, size=n)
+        karma = rng.integers(0, 3 * k_max, size=n)
+        assert (karma > k_max).any()
+        draws = rng.random(n)
+        capped = np.minimum(karma, k_max)
+        got = _sample_cdf(mechanism.bid_cdf, u * (k_max + 1) + capped, draws)
+        np.testing.assert_array_equal(got, sample_rows_oracle(policy[u, capped], draws))
+
+
+# r_bar and beta reprs recorded before the sampler rewrite; any change
+# to the RNG draw order or to a single sampled bid or urgency moves them.
+PINNED_REPRS = {
+    "KARMA": ("-1.1929999999999998", "-0.40803172534606774"),
+    "RANDOM": ("-1.6661666666666668", "-0.7311480888149662"),
+    "TURN": ("-1.0061666666666667", "-0.25089456616940375"),
+    "GREEDY_URGENCY": ("-0.6609166666666667", "-0.08845271021537127"),
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_REPRS))
+def test_draw_order_pinned(case_process, kind):
+    # k_max = 12 with k_bar = 6 lets balances climb above the policy table
+    config = GameConfig(k_bar=6, k_max=12, n_agents=200, n_rounds=60, burn_in=10, rng_seed=11)
+    if kind == "KARMA":
+        mechanism = Mechanism(kind=MechanismKind.KARMA,
+                              policy=pinned_policy(case_process.n_levels, config.k_max))
+    else:
+        mechanism = Mechanism(kind=MechanismKind(kind))
+    report = run_experiment(case_process, config, mechanism)
+    assert (repr(report.r_bar), repr(report.beta)) == PINNED_REPRS[kind]
+
+
+def test_karma_round_builds_no_per_agent_policy_rows(case_process):
+    n, k_max = 20000, 160
+    config = GameConfig(k_bar=10, k_max=k_max, n_agents=n, rng_seed=2)
+    mechanism = Mechanism(kind=MechanismKind.KARMA,
+                          policy=uniform_policy(case_process.n_levels, k_max))
+    pop = initialize_population(config, mechanism)
+    run_round(pop, case_process, mechanism)
+    tracemalloc.start()
+    try:
+        run_round(pop, case_process, mechanism)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * (k_max + 1) * 8
+
+
 class TestRunExperiment:
     def test_report_shapes_and_bounds(self, small_setup):
         process, config = small_setup
@@ -207,7 +326,7 @@ class TestRunExperiment:
         pop = initialize_population(case_config, mechanism)
         for _ in range(case_config.burn_in + case_config.n_rounds):
             run_round(pop, case_process, mechanism)
-        fractions = pop.wins / pop.interactions
+        fractions = pop.wins / (case_config.burn_in + case_config.n_rounds)
         assert fractions.min() >= 0.48
         assert fractions.max() <= 0.52
 
