@@ -73,6 +73,7 @@ def _solve_with_timing(setup: RunSetup, timings: dict) -> EquilibriumResult:
     start = time.perf_counter()
     result = solve_sne(setup.process, setup.game, setup.solver)
     timings["solve_seconds"] = time.perf_counter() - start
+    timings.update(result.timings)
     return result
 
 

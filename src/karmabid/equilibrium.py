@@ -24,9 +24,11 @@ zeroed (policy) or NaN (Q).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .model import (
     UrgencyProcess,
     average_payment,
     bid_marginal,
-    feasible_bids,
     redistribution_split,
     win_prob_all_bids,
 )
@@ -125,6 +126,11 @@ class EquilibriumResult:
     measured on the social state entering that iteration. value_matvecs
     counts the applications of P over all value solves, and
     max_inner_iterations is the most GMRES steps one value solve took.
+    timings holds the wall seconds spent in each stage of the iterations:
+    solve_value_seconds (policy evaluation), solve_q_seconds (Q table and
+    exploitability), solve_best_response_seconds and solve_update_seconds
+    (push-forward, residual and the damped updates). They vary from run
+    to run, so summary() leaves them out.
     """
 
     social: SocialState
@@ -134,6 +140,7 @@ class EquilibriumResult:
     iterations: int
     value_matvecs: int = 0
     max_inner_iterations: int = 0
+    timings: dict[str, float] = dataclasses.field(default_factory=dict)
 
     @property
     def exploitability(self) -> float:
@@ -189,22 +196,24 @@ class TransitionOperator:
         self.gamma1 = 1.0 - self.gamma0
         low, high, self.f_low, self.f_high = redistribution_split(average_payment(social, nu))
         ks = np.arange(nk)
-        self.lo = np.minimum(ks + low, nk - 1)
-        self.hi = np.minimum(ks + high, nk - 1)
-        # [k, x] = (k - x) mod nk: the balance a bid x leaves, or the bid that
-        # leaves balance x. The wrap sends x > k to bids above k, where pi is 0.
-        self.complement = (ks[:, None] - ks[None, :]) % nk
-        flat = (ks[:, None] * nk + self.complement).ravel()
-        self.karma_win = np.take(
-            (social.pi * self.gamma0).reshape(n_u, nk * nk), flat, axis=1
-        ).reshape(n_u, nk, nk)
+        # Both redistribution branches in one table: balance j lands on
+        # landing[j] with weight f_low and on landing[nk + j] with f_high.
+        self.landing = np.minimum(np.concatenate([ks + low, ks + high]), nk - 1)
+        self.landing_weight = np.repeat([self.f_low, self.f_high], nk)
+        self.lo, self.hi = self.landing[:nk], self.landing[nk:]
+        complement, flat, _ = _bid_tables(nk)
+        self.karma_win = social.pi.reshape(n_u, nk * nk).take(flat, axis=1, mode="clip")
+        self.karma_win = self.karma_win.reshape(n_u, nk, nk)
+        self.karma_win *= self.gamma0[complement]
         self.lose_weight = social.pi @ self.gamma1
 
     def continuation(self, values: np.ndarray) -> np.ndarray:
         """z[o, u, j]: expected V(u', k') after outcome o from urgency u with
         balance j before redistribution; values shaped (n_u, k_max+1)."""
-        w = self.phi @ values
-        return self.f_low * w[:, :, self.lo] + self.f_high * w[:, :, self.hi]
+        nk = values.shape[1]
+        both = (self.phi @ values).take(self.landing, axis=2)
+        both *= self.landing_weight
+        return both[:, :, :nk] + both[:, :, nk:]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """(P V)[u, k]: expected next-state value."""
@@ -220,6 +229,26 @@ class TransitionOperator:
         landing = np.concatenate([(rows + self.lo).ravel(), (rows + self.hi).ravel()])
         weights = np.concatenate([moved * self.f_low, moved * self.f_high])
         return np.bincount(landing, weights, n_u * nk).reshape(n_u, nk)
+
+
+@functools.lru_cache(maxsize=8)
+def _bid_tables(nk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index tables of the bid/balance pairing for nk balances.
+
+    complement[k, x] = (k - x) mod nk: the balance a bid x leaves, or the
+    bid that leaves balance x. The wrap sends x > k to bids above k, where
+    pi is 0. flat[k * nk + x] = k * nk + complement[k, x] gathers
+    pi[u, k, k - x] from a policy table flattened per urgency. kept[k, b]
+    is the balance k - b a bid b leaves, or nk for b > k, which indexes a
+    NaN pad.
+    """
+    ks = np.arange(nk)
+    complement = (ks[:, None] - ks[None, :]) % nk
+    flat = (ks[:, None] * nk + complement).ravel()
+    kept = np.where(ks[None, :] <= ks[:, None], complement, nk)
+    for table in (complement, flat, kept):
+        table.flags.writeable = False
+    return complement, flat, kept
 
 
 def _gmres(apply_a, rhs: np.ndarray, x0: np.ndarray, tol: float) -> tuple[np.ndarray, int, int]:
@@ -241,34 +270,40 @@ def _gmres(apply_a, rhs: np.ndarray, x0: np.ndarray, tol: float) -> tuple[np.nda
         beta = math.sqrt(r @ r)
         if beta <= tol or matvecs >= _GMRES_MAX_MATVECS:
             return x, matvecs, steps
-        basis[0] = r / beta
+        np.divide(r, beta, out=basis[0])
         tri = np.zeros((m, m))
-        g = np.zeros(m + 1)
-        g[0] = beta
+        g = [beta]
         cs: list[float] = []
         sn: list[float] = []
         for j in range(m):
             w = apply_a(basis[j])
             matvecs += 1
             steps += 1
-            h = basis[: j + 1] @ w
-            w -= h @ basis[: j + 1]
-            h2 = basis[: j + 1] @ w
-            w -= h2 @ basis[: j + 1]
+            active = basis[: j + 1]
+            h = active @ w
+            w -= h @ active
+            h2 = active @ w
+            w -= h2 @ active
             col = (h + h2).tolist()
             h_next = math.sqrt(w @ w)
-            for i in range(j):
-                col[i], col[i + 1] = cs[i] * col[i] + sn[i] * col[i + 1], cs[i] * col[i + 1] - sn[i] * col[i]
-            radius = math.hypot(col[j], h_next)
-            cs.append(col[j] / radius)
-            sn.append(h_next / radius)
+            # Apply the earlier rotations in order; top carries the entry
+            # that rotation i + 1 meets.
+            top = col[0]
+            for i, (c, s) in enumerate(zip(cs, sn)):
+                below = col[i + 1]
+                col[i] = c * top + s * below
+                top = c * below - s * top
+            radius = math.hypot(top, h_next)
+            c, s = top / radius, h_next / radius
+            cs.append(c)
+            sn.append(s)
             col[j] = radius
             tri[: j + 1, j] = col
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
+            g.append(-s * g[j])
+            g[j] = c * g[j]
             if abs(g[j + 1]) <= tol or h_next == 0.0 or matvecs >= _GMRES_MAX_MATVECS:
                 break
-            basis[j + 1] = w / h_next
+            np.divide(w, h_next, out=basis[j + 1])
         n = j + 1
         y = np.linalg.solve(tri[:n, :n], g[:n])
         x += y @ basis[:n]
@@ -289,19 +324,24 @@ def policy_evaluation(
     residual tol_value; the result must then meet tol_value in sup norm.
 
     Raises:
+        ParameterError: if initial is not shaped (n_levels, k_max + 1).
         SolverError: if the value residual exceeds tol_value (carries the
             residual).
     """
     solver = solver if solver is not None else SolverConfig()
+    shape = social.d.shape
+    if initial is not None:
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != shape:
+            raise ParameterError(f"initial values must have shape {shape}, got {initial.shape}")
     transitions = TransitionOperator(process, social)
     reward = -process.level_values[:, None] * transitions.lose_weight
-    shape = reward.shape
     alpha = config.alpha
 
     def apply_a(flat: np.ndarray) -> np.ndarray:
         return flat - alpha * transitions.apply(flat.reshape(shape)).ravel()
 
-    start = np.zeros(reward.size) if initial is None else np.asarray(initial, dtype=float).ravel()
+    start = np.zeros(reward.size) if initial is None else initial.ravel()
     flat, matvecs, steps = _gmres(apply_a, reward.ravel(), start, solver.tol_value)
     values = flat.reshape(shape)
     residual = float(np.abs(values - (reward + alpha * transitions.apply(values))).max())
@@ -328,23 +368,32 @@ def q_function(
     Entries with b > k are NaN (absent).
     """
     op = values.transitions
+    n_u, nk = values.V.shape
     z = op.continuation(values.V)
-    xi = -np.outer(process.level_values, op.gamma1)
-    q = xi[:, None, :] + config.alpha * (
-        op.gamma0 * z[0][:, op.complement] + op.gamma1 * z[1][:, :, None]
-    )
-    feas = feasible_bids(social.k_max)[None, :, :]
-    return np.where(feas, q, np.nan)
+    # xi + alpha (gamma0 z0[k - b] + gamma1 z1[k]), evaluated in that order
+    # in one gathered table; b > k gathers the NaN pad, which every later
+    # step keeps.
+    padded = np.empty((n_u, nk + 1))
+    padded[:, :nk] = z[0]
+    padded[:, nk] = np.nan
+    q = padded.take(_bid_tables(nk)[2], axis=1, mode="clip")
+    q *= op.gamma0
+    for q_u, z_u in zip(q, z[1]):
+        q_u += np.multiply.outer(z_u, op.gamma1)
+    q *= config.alpha
+    q += -np.outer(process.level_values, op.gamma1)[:, None, :]
+    return q
 
 
 def exploitability(q: np.ndarray, pi: np.ndarray) -> float:
     """Largest one-step gain any state can get by deviating from pi.
 
-    Zero exactly at a best response; the max over states is floored at
-    zero to discard sub-epsilon float dust.
+    NaN entries of q (bids above the balance) are absent. Zero exactly at
+    a best response; the max over states is floored at zero to discard
+    sub-epsilon float dust.
     """
-    best = np.nanmax(q, axis=2)
-    current = np.einsum("ukb,ukb->uk", pi, np.nan_to_num(q, nan=0.0))
+    best = np.fmax.reduce(q, axis=2)
+    current = np.sum(pi * q, axis=2, where=~np.isnan(q))
     return max(float((best - current).max()), 0.0)
 
 
@@ -352,14 +401,18 @@ def perturbed_best_response(q: np.ndarray, temperature: float) -> np.ndarray:
     """Softmax best response over feasible bids, sharpened as temperature -> 0.
 
     Exponentials are shifted by the per-state maximum, so any Q scale is
-    safe; exact ties split evenly in the low-temperature limit.
+    safe; exact ties split evenly in the low-temperature limit. Shifted
+    exponents at or below -746 are not evaluated: exp rounds them to
+    exactly 0, but the exp routine is slow on them.
     """
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    feas = np.isfinite(q)
-    shifted = np.where(feas, q - np.nanmax(q, axis=2, keepdims=True), 0.0)
-    weights = np.where(feas, np.exp(shifted / temperature), 0.0)
-    return weights / weights.sum(axis=2, keepdims=True)
+    shifted = q - np.fmax.reduce(q, axis=2, keepdims=True)
+    shifted /= temperature
+    weights = np.zeros_like(shifted)
+    np.exp(shifted, out=weights, where=shifted > -746.0)  # NaN (b > k) stays 0
+    weights /= weights.sum(axis=2, keepdims=True)
+    return weights
 
 
 def solve_sne(
@@ -371,7 +424,8 @@ def solve_sne(
     """Iterate smoothed best response with annealing to a stationary equilibrium.
 
     Each outer iteration evaluates the current social state (warm-starting
-    the value solve from the previous V), records its residual pair, and
+    the value solve from the linear extrapolation 2 V_(t-1) - V_(t-2) of
+    the previous two iterations' values), records its residual pair, and
     stops as soon as both exploitability and the stationarity residual
     meet their tolerances; otherwise the policy is mixed toward the
     softmax best response and the distribution is pushed one damped step,
@@ -389,19 +443,28 @@ def solve_sne(
             f"({process.n_levels}, {config.k_max + 1})"
         )
     temperature = solver.br_temperature
+    step = solver.step_size
     trace: list[tuple[float, float]] = []
     converged = False
     values: ValueTables | None = None
     q: np.ndarray | None = None
+    start: np.ndarray | None = None
+    previous_v: np.ndarray | None = None
     iterations = matvecs = max_inner = 0
+    stage = dict.fromkeys(("solve_value_seconds", "solve_q_seconds",
+                           "solve_best_response_seconds", "solve_update_seconds"), 0.0)
 
     for iterations in range(1, solver.max_outer_iters + 1):
-        values = policy_evaluation(process, social, config, solver,
-                                   initial=None if values is None else values.V)
+        t0 = perf_counter()
+        values = policy_evaluation(process, social, config, solver, initial=start)
         matvecs += values.matvecs
         max_inner = max(max_inner, values.inner_iterations)
+        t1 = perf_counter()
         q = q_function(values, process, social, config)
         expl = exploitability(q, social.pi)
+        t2 = perf_counter()
+        stage["solve_value_seconds"] += t1 - t0
+        stage["solve_q_seconds"] += t2 - t1
         push = values.transitions.push(social.d)
         resid = 0.5 * float(np.abs(push - social.d).sum())
         trace.append((resid, expl))
@@ -410,11 +473,26 @@ def solve_sne(
             break
         if iterations == solver.max_outer_iters:
             break
+        t3 = perf_counter()
         target = perturbed_best_response(q, temperature)
-        pi_new = (1.0 - solver.step_size) * social.pi + solver.step_size * target
-        d_new = (1.0 - solver.step_size) * social.d + solver.step_size * push
+        t4 = perf_counter()
+        # (1 - step) pi + step target, each product formed in place.
+        target *= step
+        pi_new = social.pi * (1.0 - step)
+        pi_new += target
+        d_new = (1.0 - step) * social.d + step * push
         social = SocialState(d=d_new, pi=pi_new)
         temperature = max(temperature * solver.temperature_decay, solver.temperature_floor)
+        # The values move smoothly between iterations, so extrapolating the
+        # last two starts GMRES closer to the next solution than V alone.
+        if previous_v is None:
+            start = values.V
+        else:
+            start = 2.0 * values.V - previous_v
+        previous_v = values.V
+        t5 = perf_counter()
+        stage["solve_best_response_seconds"] += t4 - t3
+        stage["solve_update_seconds"] += (t3 - t2) + (t5 - t4)
 
     assert values is not None and q is not None
     return EquilibriumResult(
@@ -425,35 +503,35 @@ def solve_sne(
         iterations=iterations,
         value_matvecs=matvecs,
         max_inner_iterations=max_inner,
+        timings=stage,
     )
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def write_policy_csv(path: Path | str, process: UrgencyProcess, social: SocialState) -> None:
     """Policy table as CSV rows (urgency_level, karma, bid, probability)."""
-    lines = ["urgency_level,karma,bid,probability"]
-    for u, level in enumerate(process.levels):
-        for k in range(social.k_max + 1):
-            for b in range(k + 1):
-                lines.append(f"{level},{k},{b},{_fmt(social.pi[u, k, b])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write("urgency_level,karma,bid,probability\n")
+        # One urgency level at a time keeps the live text to a fraction of
+        # the file, which reaches megabytes at k_max in the hundreds.
+        for level, table in zip(process.levels, social.pi):
+            lines = []
+            for k, row in enumerate(table):
+                prefix = f"{level},{k},"
+                lines.extend([f"{prefix}{b},{p!r}\n" for b, p in enumerate(row[: k + 1].tolist())])
+            out.writelines(lines)
 
 
 def write_distribution_csv(path: Path | str, process: UrgencyProcess, social: SocialState) -> None:
     """State distribution as CSV rows (urgency_level, karma, mass)."""
     lines = ["urgency_level,karma,mass"]
-    for u, level in enumerate(process.levels):
-        for k in range(social.k_max + 1):
-            lines.append(f"{level},{k},{_fmt(social.d[u, k])}")
+    for level, row in zip(process.levels, social.d.tolist()):
+        lines.extend([f"{level},{k},{mass!r}" for k, mass in enumerate(row)])
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_residuals_csv(path: Path | str, result: EquilibriumResult) -> None:
     """Residual trace as CSV rows (iteration, stationarity_residual, exploitability)."""
     lines = ["iteration,stationarity_residual,exploitability"]
-    for i, (resid, expl) in enumerate(result.residuals, start=1):
-        lines.append(f"{i},{_fmt(resid)},{_fmt(expl)}")
+    lines.extend([f"{i},{resid!r},{expl!r}"
+                  for i, (resid, expl) in enumerate(result.residuals.tolist(), start=1)])
     Path(path).write_text("\n".join(lines) + "\n")

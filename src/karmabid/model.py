@@ -17,6 +17,7 @@ built on top of these functions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,21 +169,22 @@ class SocialState:
             raise ParameterError(
                 f"pi must have shape ({n_u}, {nk}, {nk}), got {self.pi.shape}"
             )
-        if (self.d < 0).any() or (self.pi < 0).any():
+        if self.d.min(initial=0.0) < 0 or self.pi.min(initial=0.0) < 0:
             raise ParameterError("masses must be nonnegative")
         total = float(self.d.sum())
         if abs(total - 1.0) > MASS_ATOL:
             raise ParameterError(f"d must sum to 1 within {MASS_ATOL}, got {total!r}")
-        feas = feasible_bids(nk - 1)[None, :, :]
-        if (self.pi * ~feas).max(initial=0.0) > MASS_ATOL:
+        feas = feasible_bids(nk - 1)
+        if self.pi.max(initial=0.0, where=~feas) > MASS_ATOL:
             raise ParameterError("pi puts mass on bids above the karma balance")
+        # The one copy of pi: the caller's array is never written.
         self.pi = np.where(feas, self.pi, 0.0)
         row_sums = self.pi.sum(axis=2)
-        if not np.allclose(row_sums, 1.0, rtol=0.0, atol=MASS_ATOL):
-            worst = float(np.abs(row_sums - 1.0).max())
+        worst = float(np.abs(row_sums - 1.0).max())
+        if not worst <= MASS_ATOL:  # also rejects a NaN row sum
             raise ParameterError(f"pi rows must sum to 1 within {MASS_ATOL} (worst {worst:.3e})")
         self.d = self.d / total
-        self.pi = self.pi / row_sums[:, :, None]
+        self.pi /= row_sums[:, :, None]
 
     @property
     def n_levels(self) -> int:
@@ -234,9 +236,15 @@ class GameConfig:
             raise ParameterError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 
+@functools.lru_cache(maxsize=8)
 def feasible_bids(k_max: int) -> np.ndarray:
-    """Boolean mask of shape (k_max+1, k_max+1); entry [k, b] is b <= k."""
-    return np.tril(np.ones((k_max + 1, k_max + 1), dtype=bool))
+    """Boolean mask of shape (k_max+1, k_max+1); entry [k, b] is b <= k.
+
+    Built once per k_max and shared, so it is read-only.
+    """
+    mask = np.tril(np.ones((k_max + 1, k_max + 1), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 def outcome_probability(b: int, b_prime: int) -> float:

@@ -172,6 +172,35 @@ def q_oracle(
     return out
 
 
+def best_response_oracle(q: np.ndarray, temperature: float) -> np.ndarray:
+    """Softmax over each row's non-NaN entries, shifted by the row maximum,
+    one exponential at a time; NaN entries get probability zero."""
+    n_u, n_k, n_b = q.shape
+    pi = np.zeros(q.shape)
+    for u in range(n_u):
+        for k in range(n_k):
+            row = {b: float(q[u, k, b]) for b in range(n_b) if not math.isnan(q[u, k, b])}
+            top = max(row.values())
+            weights = {b: math.exp((value - top) / temperature) for b, value in row.items()}
+            total = sum(weights.values())
+            for b, weight in weights.items():
+                pi[u, k, b] = weight / total
+    return pi
+
+
+def exploitability_oracle(q: np.ndarray, pi: np.ndarray) -> float:
+    """Largest gain of the best non-NaN entry of a row over the policy's
+    average of that row, floored at zero."""
+    n_u, n_k, n_b = q.shape
+    gain = 0.0
+    for u in range(n_u):
+        for k in range(n_k):
+            row = {b: float(q[u, k, b]) for b in range(n_b) if not math.isnan(q[u, k, b])}
+            current = sum(float(pi[u, k, b]) * value for b, value in row.items())
+            gain = max(gain, max(row.values()) - current)
+    return gain
+
+
 def deviation_gains_oracle(
     process: UrgencyProcess, social: SocialState, alpha: float
 ) -> np.ndarray:

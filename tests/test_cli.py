@@ -160,10 +160,13 @@ class TestCompareCommand:
         out = tmp_path / "a"
         assert main(["compare", "--config", str(tiny_config), "--out", str(out)]) == 0
         timings = RunManifest.from_json((out / "manifest.json").read_text()).timings
-        assert set(timings) == {
+        stages = {"solve_value_seconds", "solve_q_seconds", "solve_best_response_seconds",
+                  "solve_update_seconds"}
+        assert set(timings) == stages | {
             "solve_seconds", "lp_seconds", "simulate_karma_seconds", "simulate_random_seconds",
             "simulate_turn_seconds", "simulate_greedy_urgency_seconds",
         }
+        assert sum(timings[name] for name in stages) <= timings["solve_seconds"]
         assert all(value >= 0 for value in timings.values())
 
     def test_seed_override_changes_rows(self, tiny_config, tmp_path):

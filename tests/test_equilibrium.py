@@ -24,10 +24,12 @@ from karmabid import (
     solve_sne,
     win_prob_all_bids,
 )
-from karmabid.equilibrium import TransitionOperator
+from karmabid.equilibrium import TransitionOperator, write_policy_csv
 from conftest import make_random_social
 from oracles import (
+    best_response_oracle,
     deviation_gains_oracle,
+    exploitability_oracle,
     kernel_oracle,
     power_iteration_oracle,
     q_oracle,
@@ -38,6 +40,32 @@ from oracles import (
 
 def zero_level_process() -> UrgencyProcess:
     return UrgencyProcess(levels=(0,), phi=np.ones((2, 1, 1)), epsilon=0.5)
+
+
+def stress_q_table(rng: np.random.Generator, temperature: float) -> np.ndarray:
+    """Random Q table, NaN above the diagonal, with rows that probe the
+    softmax: shifted, scaled exponents spread over [-746, -708] (denormal
+    and zero exponentials), a row with a single non-NaN entry, and rows
+    with exact ties at the maximum."""
+    n_u, nk = 3, 14
+    q = rng.standard_normal((n_u, nk, nk))
+    q[:, ~np.tril(np.ones((nk, nk), dtype=bool))] = np.nan
+    gaps = [0.0, -708.0, -708.4, -720.0, -740.0, -745.0, -745.1, -745.2, -745.9,
+            -746.0, -746.1, -800.0, -3.0]
+    q[0, 12, :13] = temperature * np.array(gaps)
+    q[0, 13, :14] = 7.0 + temperature * rng.uniform(-746.0, -708.0, 14)
+    q[0, 13, 5] = 7.0
+    q[1, 6, :] = np.nan
+    q[1, 6, 3] = 0.7
+    q[2, 8, :9] = [1.0, 2.0, 2.0, 0.5, 2.0, -1.0, 2.0, 0.0, 1.5]
+    q[2, 4, :5] = 0.25
+    return q
+
+
+# Slack for oracle entries that are themselves denormal: a quotient there
+# keeps only a few significant bits, so it may round to a neighbouring
+# multiple of the smallest denormal (4.9e-324).
+DENORMAL_SLACK = 1e-322
 
 
 def push_step(process: UrgencyProcess, social: SocialState, step_size: float) -> SocialState:
@@ -110,6 +138,13 @@ class TestPolicyEvaluation:
             policy_evaluation(case_process, social, case_config,
                               initial=np.full(social.d.shape, np.nan))
 
+    def test_rejects_misshapen_initial(self, case_process, case_config):
+        social = initial_social_state(case_process, case_config)
+        n_u, nk = social.d.shape
+        for shape in ((nk, n_u), (n_u, nk - 1)):
+            with pytest.raises(ParameterError, match="initial"):
+                policy_evaluation(case_process, social, case_config, initial=np.zeros(shape))
+
     def test_peak_memory_stays_below_dense_kernel(self, case_process):
         # A dense S x S float kernel at k_max = 160 alone takes S^2 * 8 bytes.
         config = GameConfig(k_max=160)
@@ -150,6 +185,17 @@ class TestQFunction:
         spot = q_oracle(case_process, social, values.V, case_config.alpha, u=4, k=10)
         np.testing.assert_allclose(q[4, 10, :11], spot, atol=1e-9)
 
+    def test_full_table_matches_bruteforce(self, small_game):
+        process, config = small_game
+        social = make_random_social(np.random.default_rng(19), process.n_levels, config.k_max)
+        values = policy_evaluation(process, social, config)
+        q = q_function(values, process, social, config)
+        for u in range(process.n_levels):
+            for k in range(config.k_max + 1):
+                row = q_oracle(process, social, values.V, config.alpha, u=u, k=k)
+                np.testing.assert_allclose(q[u, k, : k + 1], row, rtol=0, atol=1e-12)
+                assert np.isnan(q[u, k, k + 1 :]).all()
+
 
 class TestPerturbedBestResponse:
     def test_uniform_q_gives_uniform_policy(self):
@@ -172,6 +218,18 @@ class TestPerturbedBestResponse:
         pi = perturbed_best_response(q, temperature=1e-9)
         np.testing.assert_allclose(pi[0, 0], [0, 0.5, 0.5, 0], atol=1e-6)
 
+    @pytest.mark.parametrize("temperature", [2.0, 1e-2, 1e-5])
+    def test_matches_oracle_on_stress_rows(self, temperature):
+        q = stress_q_table(np.random.default_rng(20), temperature)
+        pi = perturbed_best_response(q, temperature)
+        oracle = best_response_oracle(q, temperature)
+        np.testing.assert_array_equal(pi == 0.0, oracle == 0.0)
+        np.testing.assert_allclose(pi, oracle, rtol=1e-15, atol=DENORMAL_SLACK)
+        # the gap row does reach denormal weights and exact zeros
+        gap_row = oracle[0, 12]
+        assert ((0.0 < gap_row) & (gap_row < np.finfo(float).tiny)).any()
+        assert (gap_row[9:12] == 0.0).all()
+
     def test_rejects_nonpositive_temperature(self):
         q = np.zeros((1, 1, 1))
         with pytest.raises(ParameterError):
@@ -184,6 +242,24 @@ class TestPerturbedBestResponse:
         pi = perturbed_best_response(q, temperature=1e-5)
         assert np.isfinite(pi[0, 0, :3]).all()
         np.testing.assert_allclose(pi[0, 0], [0, 1, 0], atol=1e-12)
+
+
+class TestExploitability:
+    @pytest.mark.parametrize("temperature", [2.0, 1e-5])
+    def test_matches_oracle_on_stress_rows(self, temperature):
+        rng = np.random.default_rng(22)
+        q = stress_q_table(rng, temperature)
+        for pi in (best_response_oracle(q, 1.0), best_response_oracle(q, temperature)):
+            gain = exploitability(q, pi)
+            oracle = exploitability_oracle(q, pi)
+            assert gain == pytest.approx(oracle, rel=1e-15, abs=1e-15 * np.nanmax(np.abs(q)))
+
+    def test_zero_at_a_deterministic_best_response(self):
+        q = stress_q_table(np.random.default_rng(23), 1.0)
+        pi = np.zeros(q.shape)
+        for index in np.ndindex(q.shape[:2]):
+            pi[index + (int(np.nanargmax(q[index])),)] = 1.0
+        assert exploitability(q, pi) == 0.0 == exploitability_oracle(q, pi)
 
 
 class TestStationaryDistributionStep:
@@ -321,6 +397,12 @@ class TestSolveSne:
         assert summary["value_matvecs"] >= 2 * case_equilibrium.iterations
         assert 1 <= summary["max_inner_iterations"] < summary["value_matvecs"]
 
+    def test_warm_start_keeps_value_solves_short(self, case_equilibrium):
+        # Deterministic count: starting each GMRES from the extrapolation
+        # 2 V(t-1) - V(t-2) takes 12288 applications of P on the case study,
+        # starting from V(t-1) alone 13980.
+        assert case_equilibrium.value_matvecs <= 12_500
+
     def test_deterministic_residual_traces(self, small_game):
         process, config = small_game
         solver = SolverConfig(max_outer_iters=120)
@@ -353,3 +435,18 @@ class TestSolveSne:
         q = q_function(values, case_process, case_equilibrium.social, case_config)
         again = exploitability(q, case_equilibrium.social.pi)
         assert again == pytest.approx(case_equilibrium.exploitability, abs=1e-12)
+
+
+class TestWritePolicyCsv:
+    def test_round_trips_exactly(self, case_process, case_equilibrium, tmp_path):
+        social = case_equilibrium.social
+        path = tmp_path / "policy.csv"
+        write_policy_csv(path, case_process, social)
+        header, *lines = path.read_text().splitlines()
+        assert header == "urgency_level,karma,bid,probability"
+        ks, bs = np.tril_indices(social.k_max + 1)
+        rows = [line.split(",") for line in lines]
+        expected = [(level, k, b) for level in case_process.levels for k, b in zip(ks.tolist(), bs.tolist())]
+        assert [(int(r[0]), int(r[1]), int(r[2])) for r in rows] == expected
+        probability = np.array([float(r[3]) for r in rows])
+        np.testing.assert_array_equal(probability, social.pi[:, ks, bs].ravel())
