@@ -40,10 +40,6 @@ _MECHANISM_NAMES = {
 }
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="karmabid",
@@ -146,7 +142,7 @@ def cmd_simulate(setup: RunSetup, mechanism_name: str, out: Path, fmt: str) -> i
         print(json.dumps({"mechanism": kind.value, "r_bar": report.r_bar, "beta": report.beta}, indent=2))
     else:
         print("mechanism,r_bar,beta")
-        print(f"{kind.value},{_fmt(report.r_bar)},{_fmt(report.beta)}")
+        print(f"{kind.value},{report.r_bar!r},{report.beta!r}")
     return EXIT_OK
 
 
@@ -178,8 +174,8 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
         start = time.perf_counter()
         report = run_experiment(setup.process, setup.game, mechanism)
         timings[f"simulate_{mechanism.kind.value.lower()}_seconds"] = time.perf_counter() - start
-        rows.append((mechanism.kind.value, _fmt(report.r_bar), _fmt(report.beta)))
-    rows.append(("MAX_EFF_LP", _fmt(lp_value), ""))
+        rows.append((mechanism.kind.value, repr(report.r_bar), repr(report.beta)))
+    rows.append(("MAX_EFF_LP", repr(lp_value), ""))
 
     out.mkdir(parents=True, exist_ok=True)
     comparison_path = out / "comparison.csv"

@@ -12,7 +12,7 @@ The state transition kernel is never formed as an S x S array. A
 TransitionOperator, built once per policy evaluation, applies P (for the
 value solve and for Q) and its push-forward d P through the karma
 landing indices. The values come from restarted GMRES, which solve_sne
-warm-starts at the previous iteration's V.
+warm-starts by extrapolating the previous iterations' V.
 
 Layout conventions: private states are (urgency index u, karma k) with
 karma truncated to {0, ..., k_max}; flat state index is u * (k_max+1) + k.
@@ -424,10 +424,11 @@ def solve_sne(
     """Iterate smoothed best response with annealing to a stationary equilibrium.
 
     Each outer iteration evaluates the current social state (warm-starting
-    the value solve from the linear extrapolation 2 V_(t-1) - V_(t-2) of
-    the previous two iterations' values), records its residual pair, and
-    stops as soon as both exploitability and the stationarity residual
-    meet their tolerances; otherwise the policy is mixed toward the
+    the value solve from the quadratic extrapolation
+    3 (V_(t-1) - V_(t-2)) + V_(t-3) of the previous three iterations'
+    values, linear or constant while fewer exist), records its residual
+    pair, and stops as soon as both exploitability and the stationarity
+    residual meet their tolerances; otherwise the policy is mixed toward the
     softmax best response and the distribution is pushed one damped step,
     reusing the transition operator of the evaluation. Deterministic:
     identical inputs give bit-identical residual traces.
@@ -449,7 +450,7 @@ def solve_sne(
     values: ValueTables | None = None
     q: np.ndarray | None = None
     start: np.ndarray | None = None
-    previous_v: np.ndarray | None = None
+    history: list[np.ndarray] = []  # the latest values first
     iterations = matvecs = max_inner = 0
     stage = dict.fromkeys(("solve_value_seconds", "solve_q_seconds",
                            "solve_best_response_seconds", "solve_update_seconds"), 0.0)
@@ -484,12 +485,15 @@ def solve_sne(
         social = SocialState(d=d_new, pi=pi_new)
         temperature = max(temperature * solver.temperature_decay, solver.temperature_floor)
         # The values move smoothly between iterations, so extrapolating the
-        # last two starts GMRES closer to the next solution than V alone.
-        if previous_v is None:
-            start = values.V
+        # last three (quadratically) starts GMRES closer to the next solution
+        # than V alone; the first iterations extrapolate what they have.
+        history = [values.V] + history[:2]
+        if len(history) == 3:
+            start = 3.0 * (history[0] - history[1]) + history[2]
+        elif len(history) == 2:
+            start = 2.0 * history[0] - history[1]
         else:
-            start = 2.0 * values.V - previous_v
-        previous_v = values.V
+            start = history[0]
         t5 = perf_counter()
         stage["solve_best_response_seconds"] += t4 - t3
         stage["solve_update_seconds"] += (t3 - t2) + (t5 - t4)

@@ -9,10 +9,20 @@ a uniformly chosen set of (pool mod N) agents receives one extra unit,
 so the total karma supply never changes. Urgencies then transition on
 the outcome-conditioned chain.
 
-Bids and urgency transitions are exact inverse-CDF samples: each draw
-is located in its agent's row of a cumulative table by a vectorised
-binary search. The bid table (the policy's cumulative sums over bids)
-is built once per Mechanism, so a round builds no per-agent row table.
+Bids and urgency transitions are exact inverse-CDF samples from a
+cumulative table, one row per agent state. Each table has a guide table
+(Chen & Asau 1974; Devroye 1986, section III.2) that splits [0, 1) into
+256 equal buckets and records, per row, the sample shared by every draw
+in a bucket, or a mark where a column boundary cuts the bucket. A draw
+then costs one gather; the few draws that land in a cut bucket fall
+back to a vectorised binary search of their row. The bid tables are
+built once per Mechanism and the urgency tables once per population and
+process, so a round builds no per-agent row table.
+
+A round never scatters through winner or loser index arrays: one boolean
+per agent records the outcome, and the urgency state
+u + n_levels * (1 - won) indexes both the reward table and the urgency
+transition table.
 
 All randomness flows through one seeded generator in a fixed draw order,
 so runs are reproducible bit for bit from (config, mechanism, seed).
@@ -20,6 +30,7 @@ so runs are reproducible bit for bit from (config, mechanism, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -28,7 +39,11 @@ from typing import Optional
 import numpy as np
 
 from .equilibrium import EquilibriumResult
-from .model import GameConfig, ParameterError, UrgencyProcess
+from .model import MASS_ATOL, GameConfig, ParameterError, UrgencyProcess, feasible_bids
+
+# Buckets of a guide table. A power of two, so int(draw * _GUIDE_BUCKETS)
+# is the exact bucket of every draw in [0, 1).
+_GUIDE_BUCKETS = 256
 
 
 class MechanismKind(str, Enum):
@@ -44,24 +59,41 @@ class Mechanism:
 
     KARMA needs the bidding policy of a converged equilibrium; the other
     kinds carry no extra state here (TURN counters live on the
-    population). bid_cdf is derived once from the policy: row
-    u * (k_max + 1) + k holds the cumulative bid probabilities of an
-    agent at urgency u with balance k.
+    population). The policy is checked as SocialState checks pi: finite,
+    nonnegative, no mass above MASS_ATOL on bids above the balance, rows
+    summing to 1 within MASS_ATOL. It is not renormalized. bid_cdf is
+    derived once from the policy: row u * (k_max + 1) + k holds the
+    cumulative bid probabilities of an agent at urgency u with balance k;
+    bid_guide is its guide table.
     """
 
     kind: MechanismKind
     policy: Optional[np.ndarray] = None
     bid_cdf: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    bid_guide: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is MechanismKind.KARMA:
             if self.policy is None:
                 raise ParameterError("KARMA mechanism requires a bidding policy")
-            self.policy = np.asarray(self.policy, dtype=float)
-            if self.policy.ndim != 3 or self.policy.shape[1] != self.policy.shape[2]:
-                raise ParameterError(f"policy must be (levels, k+1, k+1), got {self.policy.shape}")
-            nk = self.policy.shape[2]
-            self.bid_cdf = np.cumsum(self.policy, axis=2).reshape(-1, nk)
+            policy = self.policy = np.asarray(self.policy, dtype=float)
+            if policy.ndim != 3 or policy.shape[1] != policy.shape[2]:
+                raise ParameterError(f"policy must be (levels, k+1, k+1), got {policy.shape}")
+            nk = policy.shape[2]
+            # NaN propagates into both reductions and infinities reach one.
+            lowest, highest = policy.min(initial=0.0), policy.max(initial=0.0)
+            if not (math.isfinite(lowest) and math.isfinite(highest)):
+                raise ParameterError("policy entries must be finite")
+            if lowest < 0:
+                raise ParameterError("policy entries must be nonnegative")
+            if policy.max(initial=0.0, where=~feasible_bids(nk - 1)) > MASS_ATOL:
+                raise ParameterError("policy puts mass on bids above the karma balance")
+            worst = float(np.abs(policy.sum(axis=2) - 1.0).max(initial=0.0))
+            if worst > MASS_ATOL:
+                raise ParameterError(
+                    f"policy rows must sum to 1 within {MASS_ATOL} (worst {worst:.3e})")
+            self.bid_cdf = np.cumsum(policy, axis=2).reshape(-1, nk)
+            self.bid_guide = _guide_table(self.bid_cdf)
         elif self.policy is not None:
             raise ParameterError(f"{self.kind.value} does not take a policy")
 
@@ -84,15 +116,40 @@ class Mechanism:
         return cls(kind=MechanismKind.GREEDY_URGENCY)
 
 
+@dataclass(frozen=True, eq=False)
+class _UrgencyTables:
+    """A process's round tables, indexed by the urgency state
+    outcome * n_levels + u (outcome 0 for a win, 1 for a loss): the reward
+    (0 for a win, -level for a loss), the cumulative next-level table
+    cumsum(phi, axis=2) and its guide table."""
+
+    process: UrgencyProcess
+    reward: np.ndarray
+    cdf: np.ndarray
+    guide: np.ndarray
+
+    @classmethod
+    def build(cls, process: UrgencyProcess) -> "_UrgencyTables":
+        n_levels = process.n_levels
+        cdf = np.cumsum(process.phi, axis=2).reshape(-1, n_levels)
+        reward = np.concatenate([np.zeros(n_levels), -process.level_values])
+        return cls(process=process, reward=reward, cdf=cdf, guide=_guide_table(cdf))
+
+
 @dataclass
 class Population:
-    """State of the N simulated agents, stored as parallel arrays."""
+    """State of the N simulated agents, stored as parallel arrays.
+
+    urgency_tables caches the round tables of the process the population
+    last played under; run_round rebuilds them when the process changes.
+    """
 
     u: np.ndarray
     karma: np.ndarray
     wins: np.ndarray
     reward_sums: np.ndarray
     rng: np.random.Generator
+    urgency_tables: Optional[_UrgencyTables] = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -190,6 +247,48 @@ def _sample_cdf(cdf: np.ndarray, state: np.ndarray, draws: np.ndarray) -> np.nda
     return pos - start
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of the cumulative table cdf (n_states, m).
+
+    Entry [r, b] for b < B = _GUIDE_BUCKETS is the _sample_cdf sample of
+    row r shared by every draw in the bucket [b / B, (b + 1) / B), or m
+    (no column) if the bucket holds draws with different samples. A
+    draw's sample is the number of entries of cdf[r, :m-1] strictly below
+    it, which lies between the counts strictly below the two bucket
+    edges; where those two agree it is known. Column B is m: a draw in
+    [1, 1 + 1 / B), such as a CDF entry that rounded to 1 or just above,
+    lands there and falls back. Rows are filled one at a time into the
+    smallest unsigned integer type that holds m.
+    """
+    rows, m = cdf.shape
+    guide = np.full((rows, _GUIDE_BUCKETS + 1), m, dtype=np.min_scalar_type(m))
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    for row, out in zip(cdf[:, :-1], guide):
+        below = np.searchsorted(row, edges)
+        out[:-1] = np.where(below[:-1] == below[1:], below[:-1], m)
+    return guide
+
+
+def _sample_guided(
+    cdf: np.ndarray, guide: np.ndarray, state: np.ndarray, draws: np.ndarray
+) -> np.ndarray:
+    """_sample_cdf(cdf, state, draws) for draws in [0, 1 + 1 / B), read
+    from the guide table of cdf.
+
+    Each draw costs one gather; only the draws whose guide entry is m
+    go through _sample_cdf.
+    """
+    # draw * B is exact and truncating it is the floor. A ufunc casting
+    # into an integer output is several times faster than astype.
+    idx = np.multiply(draws, _GUIDE_BUCKETS, out=np.empty(state.shape, np.int64), casting="unsafe")
+    idx += state * (_GUIDE_BUCKETS + 1)
+    out = np.take(guide.ravel(), idx).astype(np.int64)
+    cut = np.flatnonzero(out == cdf.shape[1])
+    if cut.size:
+        out[cut] = _sample_cdf(cdf, state[cut], draws[cut])
+    return out
+
+
 def _pick_winners(
     pop: Population,
     mechanism: Mechanism,
@@ -225,6 +324,9 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
     """
     n = pop.n
     rng = pop.rng
+    tables = pop.urgency_tables
+    if tables is None or tables.process is not process:
+        tables = pop.urgency_tables = _UrgencyTables.build(process)
     perm = rng.permutation(n)
     first, second = perm[0::2], perm[1::2]
     coin_first = rng.random(n // 2) < 0.5
@@ -233,22 +335,23 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
     if mechanism.kind is MechanismKind.KARMA:
         nk = mechanism.policy.shape[1]
         state = pop.u * nk + np.minimum(pop.karma, nk - 1)
-        bids = _sample_cdf(mechanism.bid_cdf, state, rng.random(n))
+        bids = _sample_guided(mechanism.bid_cdf, mechanism.bid_guide, state, rng.random(n))
         # Balances above the policy truncation look like k_max to the
         # policy but the bid must never exceed the true balance.
-        bids = np.minimum(bids, pop.karma)
+        np.minimum(bids, pop.karma, out=bids)
 
     first_wins = _pick_winners(pop, mechanism, first, second, coin_first, bids)
-    winners = np.where(first_wins, first, second)
-    losers = np.where(first_wins, second, first)
+    won = np.empty(n, dtype=bool)
+    won[first] = first_wins
+    won[second] = ~first_wins
 
-    rewards = np.zeros(n)
-    level_values = np.asarray(process.levels, dtype=float)
-    rewards[losers] = -level_values[pop.u[losers]]
+    # urgency state outcome * n_levels + u, outcome 0 for winners
+    state = pop.u + process.n_levels * ~won
+    rewards = np.take(tables.reward, state)
 
     if mechanism.kind is MechanismKind.KARMA:
-        paid = bids[winners]
-        pop.karma[winners] -= paid
+        paid = bids * won
+        pop.karma -= paid
         pool = int(paid.sum())
         share, extra = divmod(pool, n)
         pop.karma += share
@@ -256,14 +359,8 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
             lucky = rng.choice(n, size=extra, replace=False)
             pop.karma[lucky] += 1
 
-    pop.wins[winners] += 1
-
-    # urgency state outcome * n_levels + u, outcome 0 for winners
-    n_levels = process.n_levels
-    state = pop.u + n_levels
-    state[winners] -= n_levels
-    urgency_cdf = np.cumsum(process.phi, axis=2).reshape(-1, n_levels)
-    pop.u = _sample_cdf(urgency_cdf, state, rng.random(n))
+    pop.wins += won
+    pop.u = _sample_guided(tables.cdf, tables.guide, state, rng.random(n))
 
     pop.reward_sums += rewards
     return rewards
@@ -313,23 +410,15 @@ def run_experiment(
     )
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_trace_csv(path: Path | str, report: MetricsReport) -> None:
     """Per-round trace: mean reward, running average, and (karma runs)
     the karma histogram columns."""
-    k_cols = (
-        [f"karma_{k}" for k in range(report.karma_histograms.shape[1])]
-        if report.karma_histograms is not None
-        else []
-    )
+    histograms = report.karma_histograms
+    k_cols = [f"karma_{k}" for k in range(histograms.shape[1])] if histograms is not None else []
     lines = [",".join(["round", "mean_reward", "running_mean_reward"] + k_cols)]
     running = np.cumsum(report.round_mean_rewards) / np.arange(1, report.n_rounds + 1)
-    for t in range(report.n_rounds):
-        cells = [str(t + 1), _fmt(report.round_mean_rewards[t]), _fmt(running[t])]
-        if report.karma_histograms is not None:
-            cells.extend(str(int(c)) for c in report.karma_histograms[t])
-        lines.append(",".join(cells))
+    counts = (["," + ",".join(map(str, row)) for row in histograms.tolist()]
+              if histograms is not None else [""] * report.n_rounds)
+    lines.extend([f"{t},{mean!r},{run!r}{tail}" for t, (mean, run, tail) in enumerate(
+        zip(report.round_mean_rewards.tolist(), running.tolist(), counts), start=1)])
     Path(path).write_text("\n".join(lines) + "\n")

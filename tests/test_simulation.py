@@ -2,6 +2,8 @@
 urgency-chain statistics, exact inverse-CDF sampling, and seed
 determinism."""
 
+import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from karmabid import (
     run_round,
     solve_sne,
 )
-from karmabid.simulation import _sample_cdf
+from karmabid.simulation import _guide_table, _sample_cdf, _sample_guided, write_trace_csv
 from oracles import sample_rows_oracle
 
 
@@ -83,6 +85,38 @@ class TestMechanism:
     def test_non_karma_rejects_policy(self):
         with pytest.raises(ParameterError):
             Mechanism(kind=MechanismKind.RANDOM, policy=np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_karma_rejects_non_finite_policy(self, bad):
+        policy = uniform_policy(2, 4)
+        policy[1, 3, 2] = bad
+        with pytest.raises(ParameterError, match="policy entries must be finite"):
+            Mechanism(kind=MechanismKind.KARMA, policy=policy)
+
+    def test_karma_rejects_negative_policy_entry(self):
+        policy = uniform_policy(2, 4)
+        policy[0, 2] = [-0.1, 0.6, 0.5, 0.0, 0.0]  # the row still sums to 1
+        with pytest.raises(ParameterError, match="policy entries must be nonnegative"):
+            Mechanism(kind=MechanismKind.KARMA, policy=policy)
+
+    def test_karma_rejects_mass_above_the_balance(self):
+        policy = uniform_policy(2, 4)
+        policy[0, 1] = [0.5, 0.25, 0.25, 0.0, 0.0]  # bids 2 with balance 1
+        with pytest.raises(ParameterError, match="policy puts mass on bids above"):
+            Mechanism(kind=MechanismKind.KARMA, policy=policy)
+
+    def test_karma_rejects_rows_off_one(self):
+        # Half mass: every draw above 0.5 would bid the top bid.
+        policy = uniform_policy(2, 4)
+        policy[1, 4] *= 0.5
+        with pytest.raises(ParameterError, match="policy rows must sum to 1"):
+            Mechanism(kind=MechanismKind.KARMA, policy=policy)
+
+    def test_karma_accepts_rows_within_mass_tolerance(self):
+        policy = uniform_policy(2, 4)
+        policy[1, 4, 0] += 5e-11
+        mechanism = Mechanism(kind=MechanismKind.KARMA, policy=policy)
+        assert mechanism.bid_guide.shape == (2 * 5, 257)
 
 
 class TestRunRound:
@@ -183,10 +217,11 @@ class TestSampleCdf:
     """_sample_cdf must reproduce the brute-force inverse-CDF sample bit
     for bit: the simulator's draws depend on it."""
 
-    @staticmethod
-    def check(rows: np.ndarray, state: np.ndarray, draws: np.ndarray) -> None:
+    sample = staticmethod(_sample_cdf)
+
+    def check(self, rows: np.ndarray, state: np.ndarray, draws: np.ndarray) -> None:
         expected = sample_rows_oracle(rows[state], draws)
-        got = _sample_cdf(np.cumsum(rows, axis=1), state, draws)
+        got = self.sample(np.cumsum(rows, axis=1), state, draws)
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("width", [1, 2, 5, 41, 64, 161, 256])
@@ -218,7 +253,7 @@ class TestSampleCdf:
         draws = np.array([total, np.nextafter(total, 2.0), np.nextafter(1.0, 0.0)])
         state = np.zeros(3, dtype=np.int64)
         self.check(rows, state, draws)
-        assert list(_sample_cdf(np.cumsum(rows, axis=1), state, draws)) == [
+        assert list(self.sample(np.cumsum(rows, axis=1), state, draws)) == [
             width - 2, width - 1, width - 1]
 
     def test_balances_above_k_max_use_the_top_row(self):
@@ -231,8 +266,92 @@ class TestSampleCdf:
         assert (karma > k_max).any()
         draws = rng.random(n)
         capped = np.minimum(karma, k_max)
-        got = _sample_cdf(mechanism.bid_cdf, u * (k_max + 1) + capped, draws)
+        got = self.sample(mechanism.bid_cdf, u * (k_max + 1) + capped, draws)
         np.testing.assert_array_equal(got, sample_rows_oracle(policy[u, capped], draws))
+
+
+def guided(cdf: np.ndarray, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    return _sample_guided(cdf, _guide_table(cdf), state, draws)
+
+
+class TestSampleGuided(TestSampleCdf):
+    """Every TestSampleCdf case through the guide table, plus draws and
+    CDF entries on the bucket edges b / 256."""
+
+    sample = staticmethod(guided)
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 41, 161, 256])
+    def test_draws_on_every_bucket_edge(self, width):
+        rng = np.random.default_rng(200 + width)
+        rows = random_rows(rng, 3, width)
+        edges = np.arange(256) / 256
+        draws = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges[1:], -1.0),
+                                [np.nextafter(1.0, 0.0)]])
+        state = np.repeat(np.arange(3), draws.size)
+        self.check(rows, state, np.tile(draws, 3))
+
+    @pytest.mark.parametrize("width", [2, 5, 41, 256])
+    def test_cdf_entries_on_bucket_edges(self, width):
+        # Probabilities in multiples of 1/256 put every CDF entry exactly
+        # on a bucket edge; zero columns repeat an entry.
+        rng = np.random.default_rng(300 + width)
+        units = rng.multinomial(256, np.full(width, 1.0 / width), size=4)
+        units[:, rng.integers(width)] = 0
+        units[:, 0] += 256 - units.sum(axis=1)
+        rows = units / 256
+        cdf = np.cumsum(rows, axis=1)
+        assert np.array_equal(cdf * 256, np.round(cdf * 256))
+        edges = np.arange(257) / 256
+        draws = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0)])
+        draws = draws[(draws >= 0) & (draws < 1)]
+        state = np.repeat(np.arange(4), draws.size)
+        self.check(rows, state, np.tile(draws, 4))
+
+    def test_draws_just_above_one_fall_back(self):
+        rng = np.random.default_rng(9)
+        rows = random_rows(rng, 3, 7)
+        rows[1, -2:] = 0.0  # trailing zero columns: entries equal to the row sum
+        rows[1] /= rows[1].sum()
+        top = 1.0 + 1.0 / 256
+        draws = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.0 + 1.0 / 512,
+                          np.nextafter(top, 0.0)])
+        state = np.repeat(np.arange(3), draws.size)
+        self.check(rows, state, np.tile(draws, 3))
+
+    def test_guide_marks_only_cut_buckets(self):
+        # One boundary at 0.3 cuts exactly the bucket holding 0.3; an
+        # entry exactly on the edge 0.5 cuts the bucket it opens.
+        cdf = np.array([[0.3, 0.5, 1.0]])
+        guide = _guide_table(cdf)
+        assert guide.dtype == np.uint8
+        cut = np.flatnonzero(guide[0] == 3)  # 3 columns: 3 is no column
+        assert cut.tolist() == [int(0.3 * 256), 128, 256]  # 256: draws >= 1
+        assert (guide[0, :76] == 0).all() and (guide[0, 77:128] == 1).all()
+        assert (guide[0, 129:256] == 2).all()
+
+    @pytest.mark.parametrize("width, dtype", [(255, np.uint8), (256, np.uint16), (300, np.uint16)])
+    def test_guide_holds_every_column_and_the_cut_mark(self, width, dtype):
+        rng = np.random.default_rng(width)
+        rows = random_rows(rng, 2, width)
+        rows[0] = 0.0
+        rows[0, -1] = 1.0  # every draw in (0, 1) samples the last column
+        guide = _guide_table(np.cumsum(rows, axis=1))
+        assert guide.dtype == dtype
+        assert guide[0, 0] == width  # a draw of exactly 0 samples column 0
+        assert (guide[0, 1:256] == width - 1).all()
+        self.check(rows, np.repeat([0, 1], 1000), rng.random(2000))
+
+    def test_guide_build_allocates_little_beyond_the_table(self):
+        rng = np.random.default_rng(4)
+        cdf = np.cumsum(random_rows(rng, 805, 161), axis=1)
+        tracemalloc.start()
+        try:
+            guide = _guide_table(cdf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A (rows, 257) int64 temporary alone would be 1.65 MB.
+        assert peak < guide.nbytes + 64 * 1024
 
 
 # r_bar and beta reprs recorded before the sampler rewrite; any change
@@ -256,6 +375,49 @@ def test_draw_order_pinned(case_process, kind):
         mechanism = Mechanism(kind=MechanismKind(kind))
     report = run_experiment(case_process, config, mechanism)
     assert (repr(report.r_bar), repr(report.beta)) == PINNED_REPRS[kind]
+
+
+# sha256 of per_agent_avg.tobytes() and of karma_histograms.tobytes()
+# (KARMA only), recorded before the guide-table sampler and the
+# scatter-free round, on the game of test_draw_order_pinned.
+PINNED_SHA256 = {
+    "KARMA": ("5453ae72baf9d369e6605ab2cd2677ddfe1d983a81be17bce8b50dbfc40f0fd0",
+              "b7b37ac6dce2d4bdd18db689e332bae213116e11f22787ff2ab58e3dd9d2d7c1"),
+    "RANDOM": ("fdf2404635534f066f91c5cb7087b4d061938f8eb1e0c22e3447612bc9bd9f49", None),
+    "TURN": ("c2d84f87a6f71a3fdc0c712258ba10b13c277aebfbfd18df6b0639e0145c8364", None),
+    "GREEDY_URGENCY": ("4195b9cecc7cf7060ea688fb6030ada1b6974d10234ba3acd0a69e021bcaa014", None),
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_SHA256))
+def test_whole_run_pinned(case_process, kind):
+    config = GameConfig(k_bar=6, k_max=12, n_agents=200, n_rounds=60, burn_in=10, rng_seed=11)
+    if kind == "KARMA":
+        mechanism = Mechanism(kind=MechanismKind.KARMA,
+                              policy=pinned_policy(case_process.n_levels, config.k_max))
+    else:
+        mechanism = Mechanism(kind=MechanismKind(kind))
+    report = run_experiment(case_process, config, mechanism)
+    histograms = report.karma_histograms
+    digests = (hashlib.sha256(report.per_agent_avg.tobytes()).hexdigest(),
+               None if histograms is None else hashlib.sha256(histograms.tobytes()).hexdigest())
+    assert digests == PINNED_SHA256[kind]
+
+
+def test_urgency_tables_built_once_per_process(small_setup):
+    process, config = small_setup
+    mechanism = Mechanism.random()
+    pop = initialize_population(config, mechanism)
+    run_round(pop, process, mechanism)
+    tables = pop.urgency_tables
+    run_round(pop, process, mechanism)
+    assert pop.urgency_tables is tables
+    assert pop.u.dtype == np.int64
+    other = build_urgency_process([1, 3], 0.1)
+    pop.u = np.minimum(pop.u, 1)
+    run_round(pop, other, mechanism)
+    assert pop.urgency_tables is not tables
+    assert pop.urgency_tables.cdf.shape == (4, 2)
 
 
 def test_karma_round_builds_no_per_agent_policy_rows(case_process):
@@ -352,3 +514,31 @@ class TestRunExperiment:
         import json
 
         json.dumps(doc)
+
+
+class TestWriteTraceCsv:
+    @pytest.mark.parametrize("karma", [True, False])
+    def test_round_trips_exactly(self, small_setup, tmp_path, karma):
+        process, config = small_setup
+        # 46 agents give mean rewards with long decimal expansions.
+        config = dataclasses.replace(config, n_agents=46)
+        mechanism = (Mechanism(kind=MechanismKind.KARMA,
+                               policy=uniform_policy(process.n_levels, config.k_max))
+                     if karma else Mechanism.turn())
+        report = run_experiment(process, config, mechanism)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, report)
+        header, *lines = path.read_text().splitlines()
+        k_cols = [f"karma_{k}" for k in range(config.k_max + 1)] if karma else []
+        assert header.split(",") == ["round", "mean_reward", "running_mean_reward"] + k_cols
+        rows = [line.split(",") for line in lines]
+        assert [int(r[0]) for r in rows] == list(range(1, config.n_rounds + 1))
+        means = np.array([float(r[1]) for r in rows])
+        np.testing.assert_array_equal(means, report.round_mean_rewards)
+        running = np.cumsum(report.round_mean_rewards) / np.arange(1, config.n_rounds + 1)
+        np.testing.assert_array_equal([float(r[2]) for r in rows], running)
+        if karma:
+            np.testing.assert_array_equal([[int(c) for c in r[3:]] for r in rows],
+                                          report.karma_histograms)
+        else:
+            assert all(len(r) == 3 for r in rows)
