@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +53,10 @@ from .model import (
 # the cap falls through to the sup-norm residual check and its SolverError.
 _GMRES_RESTART = 100
 _GMRES_MAX_MATVECS = 3000
+
+# States with less equilibrium mass than this do not enter the
+# equilibrium fingerprint: their best bid is not pinned down.
+_FINGERPRINT_MASS = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -126,6 +131,10 @@ class EquilibriumResult:
     measured on the social state entering that iteration. value_matvecs
     counts the applications of P over all value solves, and
     max_inner_iterations is the most GMRES steps one value solve took.
+    predicted_r_bar is the mean-field long-run reward d . R, and
+    equilibrium_fingerprint names the selected equilibrium: the sha256 of
+    the int64 most likely bid of every state holding mass above 1e-6, in
+    state order.
     timings holds the wall seconds spent in each stage of the iterations:
     solve_value_seconds (policy evaluation), solve_q_seconds (Q table and
     exploitability), solve_best_response_seconds and solve_update_seconds
@@ -150,6 +159,15 @@ class EquilibriumResult:
     def stationarity_residual(self) -> float:
         return float(self.residuals[-1, 0])
 
+    @property
+    def predicted_r_bar(self) -> float:
+        return float((self.social.d * self.values.R).sum())
+
+    @property
+    def equilibrium_fingerprint(self) -> str:
+        bids = self.social.pi.argmax(axis=2)[self.social.d > _FINGERPRINT_MASS]
+        return hashlib.sha256(bids.astype(np.int64).tobytes()).hexdigest()
+
     def summary(self) -> dict:
         return {
             "converged": bool(self.converged),
@@ -157,6 +175,8 @@ class EquilibriumResult:
             "exploitability": self.exploitability,
             "stationarity_residual": self.stationarity_residual,
             "mean_karma": self.social.mean_karma,
+            "predicted_r_bar": self.predicted_r_bar,
+            "equilibrium_fingerprint": self.equilibrium_fingerprint,
             "value_matvecs": int(self.value_matvecs),
             "max_inner_iterations": int(self.max_inner_iterations),
         }

@@ -72,6 +72,7 @@ class TestSolveCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["converged"] is True
         assert summary["iterations"] <= 2
+        assert {"predicted_r_bar", "equilibrium_fingerprint"} <= summary.keys()
         for name in ("policy.csv", "distribution.csv", "residuals.csv",
                      "solve_summary.json", "manifest.json"):
             assert (out / name).exists()

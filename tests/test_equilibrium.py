@@ -404,6 +404,17 @@ class TestSolveSne:
         # V(t-1) alone 13980.
         assert case_equilibrium.value_matvecs <= 10_500
 
+    def test_case_study_equilibrium_is_pinned(self, case_equilibrium):
+        # The case study has more than one stationary equilibrium and the
+        # annealing path selects one of them. A solver change that lands on
+        # another fails here by name. Values recorded with every value
+        # solve run to tol_value and the square policy layout.
+        summary = case_equilibrium.summary()
+        assert summary["predicted_r_bar"] == pytest.approx(-0.6746328362884504, rel=0, abs=1e-9)
+        assert int((case_equilibrium.social.d > 1e-6).sum()) == 119
+        assert summary["equilibrium_fingerprint"] == (
+            "77b50543b02da145a50c93115b3a18c83aee1102ebfc4f684aedf0b5b78814a2")
+
     def test_deterministic_residual_traces(self, small_game):
         process, config = small_game
         solver = SolverConfig(max_outer_iters=120)
