@@ -32,7 +32,6 @@ from .equilibrium import (
     solve_sne,
 )
 from .model import (
-    AgentState,
     GameConfig,
     ParameterError,
     SocialState,
@@ -40,11 +39,6 @@ from .model import (
     average_payment,
     bid_marginal,
     build_urgency_process,
-    immediate_reward,
-    karma_transition,
-    outcome_distribution,
-    outcome_probability,
-    state_transition,
     win_prob_all_bids,
 )
 from .simplex import LpError, LpInfeasibleError, LpUnboundedError, solve_standard_form
@@ -61,7 +55,6 @@ from .simulation import (
 __version__ = ARTIFACT_VERSION
 
 __all__ = [
-    "AgentState",
     "ARTIFACT_VERSION",
     "DEFAULTS",
     "EquilibriumResult",
@@ -88,14 +81,10 @@ __all__ = [
     "build_max_eff_lp",
     "build_urgency_process",
     "exploitability",
-    "immediate_reward",
     "initial_social_state",
     "initialize_population",
-    "karma_transition",
     "load_config",
     "mixture_stationary_distribution",
-    "outcome_distribution",
-    "outcome_probability",
     "perturbed_best_response",
     "policy_evaluation",
     "q_function",
@@ -107,7 +96,6 @@ __all__ = [
     "solve_lp",
     "solve_sne",
     "solve_standard_form",
-    "state_transition",
     "turn_choose",
     "win_prob_all_bids",
 ]

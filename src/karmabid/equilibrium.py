@@ -87,6 +87,10 @@ class SolverConfig:
     max_outer_iters: int = 2000
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):  # NaN passes every comparison below
+                raise ParameterError(f"{field.name} must be finite, got {value}")
         for name in ("br_temperature", "temperature_decay", "temperature_floor",
                      "step_size", "tol_policy", "tol_distribution", "tol_value"):
             if getattr(self, name) <= 0:

@@ -128,20 +128,6 @@ def build_urgency_process(levels, epsilon: float) -> UrgencyProcess:
 
 
 @dataclass
-class AgentState:
-    """Private state of one agent: urgency level index and karma balance."""
-
-    u: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.u < 0:
-            raise ParameterError(f"urgency index must be nonnegative, got {self.u}")
-        if self.k < 0:
-            raise ParameterError(f"karma must be nonnegative, got {self.k}")
-
-
-@dataclass
 class SocialState:
     """Macroscopic description of the population.
 
@@ -169,10 +155,11 @@ class SocialState:
             raise ParameterError(
                 f"pi must have shape ({n_u}, {nk}, {nk}), got {self.pi.shape}"
             )
-        if self.d.min(initial=0.0) < 0 or self.pi.min(initial=0.0) < 0:
-            raise ParameterError("masses must be nonnegative")
+        # Written as `not ... <=` so that a NaN fails them too.
+        if not (0.0 <= self.d.min(initial=0.0) and 0.0 <= self.pi.min(initial=0.0)):
+            raise ParameterError("masses must be nonnegative and not NaN")
         total = float(self.d.sum())
-        if abs(total - 1.0) > MASS_ATOL:
+        if not abs(total - 1.0) <= MASS_ATOL:
             raise ParameterError(f"d must sum to 1 within {MASS_ATOL}, got {total!r}")
         feas = feasible_bids(nk - 1)
         if self.pi.max(initial=0.0, where=~feas) > MASS_ATOL:
@@ -247,20 +234,6 @@ def feasible_bids(k_max: int) -> np.ndarray:
     return mask
 
 
-def outcome_probability(b: int, b_prime: int) -> float:
-    """Probability that a bid of b wins against an opponent bid of b_prime.
-
-    Strictly higher bids win, strictly lower lose, ties are a fair coin.
-    """
-    if b < 0 or b_prime < 0:
-        raise ParameterError("bids must be nonnegative")
-    if b > b_prime:
-        return 1.0
-    if b < b_prime:
-        return 0.0
-    return 0.5
-
-
 def bid_marginal(social: SocialState) -> np.ndarray:
     """Population bid distribution: nu[b] = sum_{u,k} d[u,k] pi[b|u,k]."""
     return np.einsum("uk,ukb->b", social.d, social.pi)
@@ -274,26 +247,6 @@ def win_prob_all_bids(nu: np.ndarray) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     below = np.concatenate(([0.0], np.cumsum(nu)[:-1]))
     return below + 0.5 * nu
-
-
-def outcome_distribution(b: int, nu: np.ndarray) -> np.ndarray:
-    """Outcome distribution [p_win, p_yield] for bid b against bid marginal nu.
-
-    Bids beyond the support of nu win with certainty.
-    """
-    nu = np.asarray(nu, dtype=float)
-    if b < 0:
-        raise ParameterError("bid must be nonnegative")
-    if b >= nu.shape[0]:
-        gamma0 = float(nu.sum())
-    else:
-        gamma0 = float(win_prob_all_bids(nu)[b])
-    return np.array([gamma0, 1.0 - gamma0])
-
-
-def immediate_reward(u_value: float, gamma: np.ndarray) -> float:
-    """Expected one-round reward: zero on winning, -u_value on yielding."""
-    return -float(u_value) * float(gamma[LOSE])
 
 
 def average_payment(social: SocialState, nu: np.ndarray | None = None) -> float:
@@ -322,58 +275,3 @@ def redistribution_split(p_bar: float) -> tuple[int, int, float, float]:
     high = int(np.ceil(p_bar))
     f_low = float(high - p_bar)
     return low, high, f_low, 1.0 - f_low
-
-
-def karma_transition(k: int, b: int, o: int, p_bar: float, k_max: int) -> dict[int, float]:
-    """Distribution of the next karma balance after one interaction.
-
-    Winners pay their bid; everyone receives the floor or ceiling of the
-    average payment with the fractions from redistribution_split. Mass
-    that would land above k_max is reassigned to k_max.
-
-    Args:
-        k: current balance.
-        b: bid placed (must not exceed k).
-        o: outcome, 0 = won, 1 = yielded.
-        p_bar: population-average payment.
-        k_max: truncation bound of the karma state space.
-
-    Returns:
-        Mapping from next balance to probability (one or two entries).
-    """
-    if b > k:
-        raise ParameterError(f"bid {b} exceeds karma balance {k}")
-    if o not in (WIN, LOSE):
-        raise ParameterError(f"outcome must be 0 or 1, got {o}")
-    low, high, f_low, f_high = redistribution_split(p_bar)
-    paid = b if o == WIN else 0
-    out: dict[int, float] = {}
-    for received, frac in ((low, f_low), (high, f_high)):
-        if frac == 0.0:
-            continue
-        nxt = min(k - paid + received, k_max)
-        out[nxt] = out.get(nxt, 0.0) + frac
-    return out
-
-
-def state_transition(
-    process: UrgencyProcess, social: SocialState, u: int, k: int, b: int
-) -> np.ndarray:
-    """Joint distribution of the next (urgency, karma) state after bidding b.
-
-    Mixes the karma transition and the urgency chain over the two possible
-    outcomes of the interaction. Returns an array of shape
-    (n_levels, k_max + 1).
-    """
-    if b > k:
-        raise ParameterError(f"bid {b} exceeds karma balance {k}")
-    nu = bid_marginal(social)
-    gamma = outcome_distribution(b, nu)
-    p_bar = average_payment(social)
-    k_max = social.k_max
-    rho = np.zeros((process.n_levels, k_max + 1))
-    for o in (WIN, LOSE):
-        kappa = karma_transition(k, b, o, p_bar, k_max)
-        for k_next, mass in kappa.items():
-            rho[:, k_next] += gamma[o] * mass * process.phi[o, u, :]
-    return rho

@@ -15,7 +15,19 @@ import math
 
 import numpy as np
 
-from karmabid import LpProblem, SocialState, UrgencyProcess, outcome_probability
+from karmabid import LpProblem, SocialState, UrgencyProcess
+
+
+def outcome_probability(b: int, b_prime: int) -> float:
+    """Probability that a bid of b wins against an opponent bid of b_prime:
+    strictly higher bids win, strictly lower lose, ties are a fair coin."""
+    if b < 0 or b_prime < 0:
+        raise ValueError("bids must be nonnegative")
+    if b > b_prime:
+        return 1.0
+    if b < b_prime:
+        return 0.0
+    return 0.5
 
 
 def bid_marginal_oracle(social: SocialState) -> np.ndarray:
@@ -59,6 +71,13 @@ def sample_rows_oracle(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 
 def karma_transition_oracle(k: int, b: int, o: int, p_bar: float, k_max: int) -> dict[int, float]:
+    """Next-balance distribution after bidding b from balance k with
+    outcome o (0 won, 1 lost): the winner pays b, everyone receives the
+    floor or the ceiling of p_bar, and balances above k_max fold into it."""
+    if b > k:
+        raise ValueError(f"bid {b} exceeds karma balance {k}")
+    if o not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {o}")
     low = math.floor(p_bar)
     high = math.ceil(p_bar)
     f_low = high - p_bar

@@ -87,6 +87,15 @@ class TestSolveCommand:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_rejects_nan_solver_tolerance_with_field_name(self, tmp_path, capsys):
+        # json.loads accepts NaN, and a NaN tolerance never passes the
+        # stopping test: the solve would run every iteration and fail.
+        path = tmp_path / "bad.cfg"
+        path.write_text("tol_policy = NaN\n")
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "tol_policy must be finite" in capsys.readouterr().err
+
     def test_missing_config_is_io_error(self, tmp_path):
         code = main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
         assert code == 4

@@ -315,6 +315,16 @@ class TestStationaryDistributionStep:
                 SolverConfig(step_size=step_size)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("name", [
+        "br_temperature", "temperature_decay", "temperature_floor", "step_size",
+        "tol_policy", "tol_distribution", "tol_value", "max_outer_iters"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_field_by_name(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            SolverConfig(**{name: value})
+
+
 class TestTransitionKernel:
     def test_rows_are_stochastic(self, case_process):
         rng = np.random.default_rng(13)

@@ -4,8 +4,9 @@ brute-force oracle agreement, and randomized invariants."""
 import numpy as np
 import pytest
 
+import dataclasses
+
 from karmabid import (
-    AgentState,
     GameConfig,
     ParameterError,
     SocialState,
@@ -13,16 +14,17 @@ from karmabid import (
     average_payment,
     bid_marginal,
     build_urgency_process,
-    immediate_reward,
-    karma_transition,
-    outcome_distribution,
-    outcome_probability,
-    state_transition,
+    policy_evaluation,
+    q_function,
+    win_prob_all_bids,
 )
+from karmabid.equilibrium import TransitionOperator
 from conftest import make_random_social
 from oracles import (
     average_payment_oracle,
     bid_marginal_oracle,
+    karma_transition_oracle,
+    outcome_probability,
     state_transition_oracle,
     win_prob_oracle,
 )
@@ -103,6 +105,8 @@ class TestBuildUrgencyProcess:
 
 
 class TestOutcomeProbability:
+    """The pairwise rule the oracles build every win probability from."""
+
     def test_higher_bid_wins(self):
         assert outcome_probability(3, 2) == 1.0
 
@@ -113,7 +117,7 @@ class TestOutcomeProbability:
         assert outcome_probability(5, 5) == 0.5
 
     def test_rejects_negative(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             outcome_probability(-1, 0)
 
 
@@ -149,39 +153,53 @@ class TestBidMarginal:
 
 
 class TestOutcomeDistribution:
+    """The outcome law of a bid: it wins with win_prob_all_bids(nu)[b]."""
+
     def test_dominating_bid(self):
         nu = np.array([0.25, 0.5, 0.25, 0.0])
-        gamma = outcome_distribution(3, nu)
-        np.testing.assert_allclose(gamma, [1.0, 0.0], atol=1e-15)
+        assert win_prob_all_bids(nu)[3] == 1.0
 
     def test_point_mass_at_own_bid(self):
         nu = np.zeros(5)
         nu[2] = 1.0
-        gamma = outcome_distribution(2, nu)
-        np.testing.assert_allclose(gamma, [0.5, 0.5], atol=1e-15)
+        assert win_prob_all_bids(nu)[2] == 0.5
 
     def test_two_point_enumeration(self):
         nu = np.zeros(4)
         nu[1] = 0.5
         nu[3] = 0.5
-        gamma = outcome_distribution(2, nu)
-        assert gamma[0] == pytest.approx(win_prob_oracle(2, nu), abs=1e-15)
-        assert gamma[0] == pytest.approx(0.5, abs=1e-15)
+        gamma0 = win_prob_all_bids(nu)[2]
+        assert gamma0 == pytest.approx(win_prob_oracle(2, nu), abs=1e-15)
+        assert gamma0 == pytest.approx(0.5, abs=1e-15)
 
     def test_bid_beyond_support(self):
-        nu = np.array([0.5, 0.5])
-        np.testing.assert_allclose(outcome_distribution(7, nu), [1.0, 0.0], atol=1e-15)
+        # Bids above every bid the marginal holds win with certainty.
+        nu = np.array([0.5, 0.5, 0.0, 0.0])
+        np.testing.assert_array_equal(win_prob_all_bids(nu)[2:], 1.0)
 
 
 class TestImmediateReward:
+    """The immediate reward R of policy evaluation: minus the urgency
+    level times the probability of losing."""
+
+    @staticmethod
+    def rewards() -> np.ndarray:
+        # Everyone holds 3 and bids the whole balance, so a bid of 0 always
+        # loses, a bid of 3 ties and a bid of 5 always wins.
+        process = build_urgency_process([4, 16], 0.04)
+        d = np.zeros((2, 6))
+        d[:, 3] = 0.5
+        social = SocialState(d=d, pi=point_policy(2, 5, lambda k: k))
+        return policy_evaluation(process, social, GameConfig(k_bar=2, k_max=5)).R
+
     def test_certain_loss(self):
-        assert immediate_reward(16, np.array([0.0, 1.0])) == -16.0
+        assert self.rewards()[1, 0] == -16.0
 
     def test_certain_win(self):
-        assert immediate_reward(16, np.array([1.0, 0.0])) == 0.0
+        assert self.rewards()[1, 5] == 0.0
 
     def test_even_odds(self):
-        assert immediate_reward(4, np.array([0.5, 0.5])) == -2.0
+        assert self.rewards()[0, 3] == -2.0
 
 
 class TestAveragePayment:
@@ -217,33 +235,38 @@ class TestAveragePayment:
 
 
 class TestKarmaTransition:
+    """The karma landing of the oracles, checked by hand."""
+
     def test_fractional_payment_two_point(self):
-        assert karma_transition(10, 4, 0, 2.5, 40) == {8: 0.5, 9: 0.5}
+        assert karma_transition_oracle(10, 4, 0, 2.5, 40) == {8: 0.5, 9: 0.5}
 
     def test_integral_payment_single_point(self):
-        assert karma_transition(10, 4, 1, 2.0, 40) == {12: 1.0}
+        assert karma_transition_oracle(10, 4, 1, 2.0, 40) == {12: 1.0}
 
     def test_truncation_at_cap(self):
-        assert karma_transition(40, 0, 1, 0.7, 40) == {40: 1.0}
+        assert karma_transition_oracle(40, 0, 1, 0.7, 40) == {40: 1.0}
         # untruncated expectation sits 0.7 above the balance
-        free = karma_transition(40, 0, 1, 0.7, 10_000)
+        free = karma_transition_oracle(40, 0, 1, 0.7, 10_000)
         assert sum(k * p for k, p in free.items()) == pytest.approx(40.7, abs=1e-12)
 
     def test_bid_above_balance_rejected(self):
-        with pytest.raises(ParameterError):
-            karma_transition(3, 4, 0, 1.0, 40)
+        with pytest.raises(ValueError):
+            karma_transition_oracle(3, 4, 0, 1.0, 40)
 
     def test_bad_outcome_rejected(self):
-        with pytest.raises(ParameterError):
-            karma_transition(3, 1, 2, 1.0, 40)
+        with pytest.raises(ValueError):
+            karma_transition_oracle(3, 1, 2, 1.0, 40)
 
 
 class TestStateTransition:
+    """The one-bid state transition law: the oracle's by hand, and the
+    library's as it enters Q."""
+
     def test_winning_resets_urgency(self):
         proc = build_urgency_process([1, 2, 4], 1e-9)
         d = np.full((3, 5), 1 / 15)
         social = SocialState(d=d, pi=point_policy(3, 4, lambda k: 0))
-        rho = state_transition(proc, social, u=2, k=3, b=2)  # outbids everyone
+        rho = state_transition_oracle(proc, social, u=2, k=3, b=2)  # outbids everyone
         marginal_u = rho.sum(axis=1)
         assert marginal_u[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -253,7 +276,7 @@ class TestStateTransition:
         d[0, 3] = 1.0
         social = SocialState(d=d, pi=point_policy(4, 7, lambda k: 3))
         # everyone else bids 3; a zero bid loses with certainty
-        rho = state_transition(proc, social, u=2, k=5, b=0)
+        rho = state_transition_oracle(proc, social, u=2, k=5, b=0)
         marginal_u = rho.sum(axis=1)
         assert marginal_u[3] == pytest.approx(1.0, abs=1e-8)
         # average payment is 0.5 * 3 = 1.5, so the loser lands on k+1 / k+2
@@ -262,21 +285,28 @@ class TestStateTransition:
         assert marginal_k[7] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_bruteforce_on_case_study(self, case_process):
+        # Q[u, k, b] = -level[u] (1 - gamma0[b]) + alpha rho(u, k, b) . V for
+        # any V, so arbitrary values expose the library's transition law.
         rng = np.random.default_rng(3)
-        social = make_random_social(rng, case_process.n_levels, 12)
+        config = GameConfig(k_bar=6, k_max=12)
+        social = make_random_social(rng, case_process.n_levels, config.k_max)
+        values = policy_evaluation(case_process, social, config)
+        values = dataclasses.replace(values, V=rng.standard_normal(social.d.shape))
+        q = q_function(values, case_process, social, config)
+        lose = 1.0 - win_prob_all_bids(bid_marginal(social))
         for _ in range(8):
             u = int(rng.integers(case_process.n_levels))
             k = int(rng.integers(13))
             b = int(rng.integers(k + 1))
-            got = state_transition(case_process, social, u, k, b)
-            want = state_transition_oracle(case_process, social, u, k, b)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            rho = state_transition_oracle(case_process, social, u, k, b)
+            want = -case_process.levels[u] * lose[b] + config.alpha * float((rho * values.V).sum())
+            assert q[u, k, b] == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_bid_above_balance_rejected(self, case_process):
         rng = np.random.default_rng(4)
         social = make_random_social(rng, case_process.n_levels, 6)
-        with pytest.raises(ParameterError):
-            state_transition(case_process, social, 0, 2, 3)
+        with pytest.raises(ValueError):
+            state_transition_oracle(case_process, social, 0, 2, 3)
 
 
 class TestSocialStateValidation:
@@ -287,6 +317,13 @@ class TestSocialStateValidation:
         d[0, 1] = 1.5
         with pytest.raises(ParameterError):
             SocialState(d=d, pi=pi)
+
+    def test_rejects_nan_mass(self):
+        # A lone NaN fails neither `< 0` nor `abs(total - 1) > atol`.
+        d = np.full((1, 2), 0.5)
+        d[0, 1] = np.nan
+        with pytest.raises(ParameterError, match="NaN"):
+            SocialState(d=d, pi=point_policy(1, 1, lambda k: 0))
 
     def test_rejects_unnormalized_distribution(self):
         d = np.full((1, 2), 0.6)
@@ -331,16 +368,6 @@ class TestGameConfigValidation:
             GameConfig(k_bar=10, k_max=10)
 
 
-class TestAgentState:
-    def test_valid(self):
-        state = AgentState(u=1, k=3)
-        assert (state.u, state.k) == (1, 3)
-
-    def test_rejects_negative_karma(self):
-        with pytest.raises(ParameterError):
-            AgentState(u=0, k=-1)
-
-
 class TestRandomizedInvariants:
     """Invariants over randomized social states, seeded for reproducibility."""
 
@@ -350,16 +377,19 @@ class TestRandomizedInvariants:
             social = make_random_social(rng, case_process.n_levels, 10)
             nu = bid_marginal(social)
             assert abs(nu.sum() - 1.0) <= 1e-10
-            p_bar = average_payment(social)
+            gamma0 = win_prob_all_bids(nu)
+            assert ((0.0 <= gamma0) & (gamma0 <= 1.0 + 1e-12)).all()
+            op = TransitionOperator(case_process, social)
+            np.testing.assert_allclose(op.apply(np.ones(social.d.shape)), 1.0, rtol=0, atol=1e-10)
+            assert abs(op.push(social.d).sum() - 1.0) <= 1e-10
+            p_bar = average_payment(social, nu)
             for trial in range(4):
                 u = int(rng.integers(case_process.n_levels))
                 k = int(rng.integers(11))
                 b = int(rng.integers(k + 1))
-                gamma = outcome_distribution(b, nu)
-                assert abs(gamma.sum() - 1.0) <= 1e-10
-                kappa = karma_transition(k, b, trial % 2, p_bar, 10)
+                kappa = karma_transition_oracle(k, b, trial % 2, p_bar, 10)
                 assert abs(sum(kappa.values()) - 1.0) <= 1e-10
-                rho = state_transition(case_process, social, u, k, b)
+                rho = state_transition_oracle(case_process, social, u, k, b)
                 assert abs(rho.sum() - 1.0) <= 1e-10
                 assert (rho >= 0).all()
 
@@ -391,16 +421,17 @@ class TestRandomizedInvariants:
         for _ in range(20):
             nu = rng.random(12)
             nu /= nu.sum()
-            gammas = [outcome_distribution(b, nu)[0] for b in range(12)]
-            assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(gammas, gammas[1:]))
+            gammas = win_prob_all_bids(nu)
+            assert (np.diff(gammas) >= -1e-12).all()
 
     def test_reward_bounds(self):
         rng = np.random.default_rng(37)
-        for _ in range(50):
-            u_value = float(rng.integers(1, 20))
-            p = rng.random()
-            r = immediate_reward(u_value, np.array([1 - p, p]))
-            assert -u_value <= r <= 0.0
+        process = build_urgency_process([1, 3, 19], 0.04)
+        config = GameConfig(k_bar=3, k_max=6)
+        for _ in range(10):
+            social = make_random_social(rng, process.n_levels, config.k_max)
+            reward = policy_evaluation(process, social, config).R
+            assert (-process.level_values[:, None] <= reward).all() and (reward <= 0.0).all()
 
     def test_transition_continuity_in_policy(self, case_process):
         # A small policy perturbation moves the transition law by at most
@@ -415,26 +446,17 @@ class TestRandomizedInvariants:
         perturbed = SocialState(d=social.d.copy(), pi=pi_perturbed)
         delta = 0.5 * np.abs(perturbed.pi - social.pi).sum(axis=2).max()
         assert delta > 0
+        before_op = TransitionOperator(case_process, social)
+        after_op = TransitionOperator(case_process, perturbed)
         for _ in range(6):
-            u = int(rng.integers(case_process.n_levels))
-            k = int(rng.integers(nk))
-            b = int(rng.integers(k + 1))
-            before = state_transition(case_process, social, u, k, b)
-            after = state_transition(case_process, perturbed, u, k, b)
-            tv = 0.5 * np.abs(after - before).sum()
+            # The push-forward of a point mass is that state's row of P.
+            point = np.zeros(social.d.shape)
+            point[int(rng.integers(case_process.n_levels)), int(rng.integers(nk))] = 1.0
+            tv = 0.5 * np.abs(after_op.push(point) - before_op.push(point)).sum()
             assert tv <= 1e3 * delta
 
 
 def _expected_next_karma(process, social) -> float:
-    total = 0.0
-    for u in range(social.n_levels):
-        for k in range(social.k_max + 1):
-            if social.d[u, k] == 0.0:
-                continue
-            for b in range(k + 1):
-                if social.pi[u, k, b] == 0.0:
-                    continue
-                rho = state_transition(process, social, u, k, b)
-                weight = social.d[u, k] * social.pi[u, k, b]
-                total += weight * float(rho.sum(axis=0) @ np.arange(social.k_max + 1))
-    return total
+    """Mean karma after one step of the library's push-forward."""
+    pushed = TransitionOperator(process, social).push(social.d)
+    return float(pushed.sum(axis=0) @ np.arange(social.k_max + 1))
