@@ -54,6 +54,14 @@ from .model import (
 _GMRES_RESTART = 100
 _GMRES_MAX_MATVECS = 3000
 
+# Forcing term of the inexact value solve: iteration t of solve_sne solves
+# (I - alpha P) V = R only to max(tol_value, _FORCING * exploitability at
+# t - 1), as in inexact Newton methods (Dembo, Eisenstat & Steihaug 1982)
+# and modified policy iteration (Puterman 1994, section 6.5). On the case
+# study it roughly halves the applications of P at an unchanged iteration
+# path; 1e-2 saved little more and moved d by 2.4e-10.
+_FORCING = 1e-3
+
 # States with less equilibrium mass than this do not enter the
 # equilibrium fingerprint: their best bid is not pinned down.
 _FINGERPRINT_MASS = 1e-6
@@ -457,6 +465,13 @@ def solve_sne(
     reusing the transition operator of the evaluation. Deterministic:
     identical inputs give bit-identical residual traces.
 
+    The value solve is inexact: iteration t solves only to
+    max(tol_value, _FORCING * exploitability at t - 1), the first one to
+    tol_value. An iteration that would stop, or the last one allowed, on a
+    looser solve first re-solves to tol_value from that V and recomputes
+    Q and the exploitability, so converged=True and the returned values
+    always rest on a solve to tol_value.
+
     Non-convergence is reported through converged=False on the result,
     never as an exception.
     """
@@ -471,32 +486,44 @@ def solve_sne(
     step = solver.step_size
     trace: list[tuple[float, float]] = []
     converged = False
-    values: ValueTables | None = None
-    q: np.ndarray | None = None
     start: np.ndarray | None = None
     history: list[np.ndarray] = []  # the latest values first
     iterations = matvecs = max_inner = 0
+    tolerance = solver.tol_value
     stage = dict.fromkeys(("solve_value_seconds", "solve_q_seconds",
                            "solve_best_response_seconds", "solve_update_seconds"), 0.0)
 
-    for iterations in range(1, solver.max_outer_iters + 1):
+    def evaluate(tolerance: float, start: np.ndarray | None) -> tuple[ValueTables, np.ndarray, float]:
+        nonlocal matvecs, max_inner
         t0 = perf_counter()
-        values = policy_evaluation(process, social, config, solver, initial=start)
+        inexact = solver if tolerance == solver.tol_value else dataclasses.replace(solver, tol_value=tolerance)
+        values = policy_evaluation(process, social, config, inexact, initial=start)
         matvecs += values.matvecs
         max_inner = max(max_inner, values.inner_iterations)
         t1 = perf_counter()
         q = q_function(values, process, social, config)
         expl = exploitability(q, social.pi)
-        t2 = perf_counter()
         stage["solve_value_seconds"] += t1 - t0
-        stage["solve_q_seconds"] += t2 - t1
+        stage["solve_q_seconds"] += perf_counter() - t1
+        return values, q, expl
+
+    for iterations in range(1, solver.max_outer_iters + 1):
+        values, q, expl = evaluate(tolerance, start)
+        t2 = perf_counter()
         push = values.transitions.push(social.d)
         resid = 0.5 * float(np.abs(push - social.d).sum())
+        last = iterations == solver.max_outer_iters
+        stop = expl <= solver.tol_policy and resid <= solver.tol_distribution
+        if tolerance > solver.tol_value and (stop or last):
+            stage["solve_update_seconds"] += perf_counter() - t2
+            values, q, expl = evaluate(solver.tol_value, values.V)
+            t2 = perf_counter()
+            stop = expl <= solver.tol_policy and resid <= solver.tol_distribution
         trace.append((resid, expl))
-        if expl <= solver.tol_policy and resid <= solver.tol_distribution:
+        if stop:
             converged = True
             break
-        if iterations == solver.max_outer_iters:
+        if last:
             break
         t3 = perf_counter()
         target = perturbed_best_response(q, temperature)
@@ -508,6 +535,7 @@ def solve_sne(
         d_new = (1.0 - step) * social.d + step * push
         social = SocialState(d=d_new, pi=pi_new)
         temperature = max(temperature * solver.temperature_decay, solver.temperature_floor)
+        tolerance = max(solver.tol_value, _FORCING * expl)
         # The values move smoothly between iterations, so extrapolating the
         # last three (quadratically) starts GMRES closer to the next solution
         # than V alone; the first iterations extrapolate what they have.
@@ -522,7 +550,6 @@ def solve_sne(
         stage["solve_best_response_seconds"] += t4 - t3
         stage["solve_update_seconds"] += (t3 - t2) + (t5 - t4)
 
-    assert values is not None and q is not None
     return EquilibriumResult(
         social=social,
         values=dataclasses.replace(values, Q=q),
