@@ -16,9 +16,13 @@ warm-starts by extrapolating the previous iterations' V.
 
 Layout conventions: private states are (urgency index u, karma k) with
 karma truncated to {0, ..., k_max}; flat state index is u * (k_max+1) + k.
-Value arrays are (n_levels, k_max+1); the policy and Q tables are
-(n_levels, k_max+1, k_max+1) indexed [u, k, b], with entries for b > k
-zeroed (policy) or NaN (Q).
+Value arrays are (n_levels, k_max+1). The policy, Q and best-response
+tables hold only the feasible bids b <= k, packed: shape
+(n_levels, (k_max+1)(k_max+2)/2), ordered by k and then by b, so the bids
+of balance k start at column k (k + 1) / 2 (model.bid_layout). Per-state
+maxima and sums are np.maximum.reduceat and np.add.reduceat at those
+starts. Only the transition operator and the simulator's bid sampler
+expand the policy into square (k_max+1, k_max+1) tables.
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ from .model import (
     UrgencyProcess,
     average_payment,
     bid_marginal,
+    bid_layout,
+    packed_k_max,
+    per_bid,
     redistribution_split,
     win_prob_all_bids,
 )
@@ -122,8 +129,8 @@ class ValueTables:
     matvecs: applications of P spent on V, the final residual check
        included.
     inner_iterations: GMRES (Arnoldi) steps spent on V.
-    Q: one-step deviation values per (u, k, b), NaN for b > k; filled in
-       by q_function.
+    Q: one-step deviation values per state and feasible bid, packed like
+       the policy; filled in by q_function.
     """
 
     V: np.ndarray
@@ -177,8 +184,11 @@ class EquilibriumResult:
 
     @property
     def equilibrium_fingerprint(self) -> str:
-        bids = self.social.pi.argmax(axis=2)[self.social.d > _FINGERPRINT_MASS]
-        return hashlib.sha256(bids.astype(np.int64).tobytes()).hexdigest()
+        starts = bid_layout(self.social.k_max)[0]
+        pi = self.social.pi
+        bids = [pi[u, starts[k]:starts[k] + k + 1].argmax()
+                for u, k in zip(*np.nonzero(self.social.d > _FINGERPRINT_MASS))]
+        return hashlib.sha256(np.array(bids, dtype=np.int64).tobytes()).hexdigest()
 
     def summary(self) -> dict:
         return {
@@ -201,10 +211,8 @@ def initial_social_state(process: UrgencyProcess, config: GameConfig) -> SocialS
     nk = config.k_max + 1
     d = np.zeros((n_u, nk))
     d[:, config.k_bar] = 1.0 / n_u
-    pi = np.zeros((n_u, nk, nk))
-    for k in range(nk):
-        pi[:, k, : k + 1] = 1.0 / (k + 1)
-    return SocialState(d=d, pi=pi)
+    balance = bid_layout(config.k_max)[1]
+    return SocialState(d=d, pi=np.tile(1.0 / (balance + 1.0), (n_u, 1)))
 
 
 class TransitionOperator:
@@ -215,9 +223,10 @@ class TransitionOperator:
     moves by phi[outcome] and the balance moves from j to j + low or
     j + high (fractions f_low, f_high), with overflow above k_max folded
     into k_max, so every row of P sums to one. karma_win[u, k, j] is the
-    probability of winning and keeping j, lose_weight[u, k] that of
-    losing. Applying P or its push-forward costs O(n_u k_max^2), against
-    O(S^2) for the dense S x S kernel.
+    probability of winning and keeping j, gathered once from the packed
+    policy into a square table so that BLAS applies it; lose_weight[u, k]
+    is the probability of losing. Applying P or its push-forward costs
+    O(n_u k_max^2), against O(S^2) for the dense S x S kernel.
     """
 
     def __init__(self, process: UrgencyProcess, social: SocialState):
@@ -233,11 +242,11 @@ class TransitionOperator:
         self.landing = np.minimum(np.concatenate([ks + low, ks + high]), nk - 1)
         self.landing_weight = np.repeat([self.f_low, self.f_high], nk)
         self.lo, self.hi = self.landing[:nk], self.landing[nk:]
-        complement, flat, _ = _bid_tables(nk)
-        self.karma_win = social.pi.reshape(n_u, nk * nk).take(flat, axis=1, mode="clip")
-        self.karma_win = self.karma_win.reshape(n_u, nk, nk)
-        self.karma_win *= self.gamma0[complement]
-        self.lose_weight = social.pi @ self.gamma1
+        starts, _, bid = bid_layout(nk - 1)
+        complement, gather = _bid_tables(nk)
+        self.karma_win = social.pi.take(gather, axis=1).reshape(n_u, nk, nk)
+        self.karma_win *= np.append(self.gamma0, 0.0)[complement]
+        self.lose_weight = np.add.reduceat(social.pi * self.gamma1[bid], starts, axis=1)
 
     def continuation(self, values: np.ndarray) -> np.ndarray:
         """z[o, u, j]: expected V(u', k') after outcome o from urgency u with
@@ -264,23 +273,21 @@ class TransitionOperator:
 
 
 @functools.lru_cache(maxsize=8)
-def _bid_tables(nk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index tables of the bid/balance pairing for nk balances.
+def _bid_tables(nk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index tables that expand a packed policy into karma_win.
 
-    complement[k, x] = (k - x) mod nk: the balance a bid x leaves, or the
-    bid that leaves balance x. The wrap sends x > k to bids above k, where
-    pi is 0. flat[k * nk + x] = k * nk + complement[k, x] gathers
-    pi[u, k, k - x] from a policy table flattened per urgency. kept[k, b]
-    is the balance k - b a bid b leaves, or nk for b > k, which indexes a
-    NaN pad.
+    complement[k, j] = k - j is the bid that leaves balance j from balance
+    k, or nk where j > k and no bid does, which indexes a zero appended
+    to gamma0. gather[k * nk + j] is the packed column of (k, k - j), or
+    of (k, 0) where j > k, whose gathered value that zero weight clears.
     """
+    starts = bid_layout(nk - 1)[0]
     ks = np.arange(nk)
-    complement = (ks[:, None] - ks[None, :]) % nk
-    flat = (ks[:, None] * nk + complement).ravel()
-    kept = np.where(ks[None, :] <= ks[:, None], complement, nk)
-    for table in (complement, flat, kept):
+    complement = np.where(ks[None, :] <= ks[:, None], ks[:, None] - ks[None, :], nk)
+    gather = (starts[:, None] + complement % nk).ravel()
+    for table in (complement, gather):
         table.flags.writeable = False
-    return complement, flat, kept
+    return complement, gather
 
 
 def _gmres(apply_a, rhs: np.ndarray, x0: np.ndarray, tol: float) -> tuple[np.ndarray, int, int]:
@@ -396,42 +403,39 @@ def q_function(
 
     Q is the immediate reward of bidding b plus the discounted expected
     continuation value over the outcome-mixed karma and urgency moves,
-    read through the transition operator of the same evaluation.
-    Entries with b > k are NaN (absent).
+    read through the transition operator of the same evaluation. The
+    table is packed like the policy, shape (n_levels, (k_max+1)(k_max+2)/2).
     """
     op = values.transitions
-    n_u, nk = values.V.shape
+    _, balance, bid = bid_layout(values.V.shape[1] - 1)
     z = op.continuation(values.V)
-    # xi + alpha (gamma0 z0[k - b] + gamma1 z1[k]), evaluated in that order
-    # in one gathered table; b > k gathers the NaN pad, which every later
-    # step keeps.
-    padded = np.empty((n_u, nk + 1))
-    padded[:, :nk] = z[0]
-    padded[:, nk] = np.nan
-    q = padded.take(_bid_tables(nk)[2], axis=1, mode="clip")
-    q *= op.gamma0
-    for q_u, z_u in zip(q, z[1]):
-        q_u += np.multiply.outer(z_u, op.gamma1)
+    # xi + alpha (gamma0 z0[k - b] + gamma1 z1[k]), evaluated in that order.
+    lose = op.gamma1[bid]
+    q = z[0].take(balance - bid, axis=1)
+    q *= op.gamma0[bid]
+    q += per_bid(z[1]) * lose
     q *= config.alpha
-    q += -np.outer(process.level_values, op.gamma1)[:, None, :]
+    q -= np.outer(process.level_values, lose)
     return q
 
 
 def exploitability(q: np.ndarray, pi: np.ndarray) -> float:
     """Largest one-step gain any state can get by deviating from pi.
 
-    NaN entries of q (bids above the balance) are absent. Zero exactly at
-    a best response; the max over states is floored at zero to discard
+    q and pi are packed tables over the feasible bids. Zero exactly at a
+    best response; the max over states is floored at zero to discard
     sub-epsilon float dust.
     """
-    best = np.fmax.reduce(q, axis=2)
-    current = np.sum(pi * q, axis=2, where=~np.isnan(q))
+    starts = bid_layout(packed_k_max(q.shape[1], "q"))[0]
+    best = np.maximum.reduceat(q, starts, axis=1)
+    current = np.add.reduceat(pi * q, starts, axis=1)
     return max(float((best - current).max()), 0.0)
 
 
 def perturbed_best_response(q: np.ndarray, temperature: float) -> np.ndarray:
     """Softmax best response over feasible bids, sharpened as temperature -> 0.
 
+    q and the result are packed tables over the feasible bids.
     Exponentials are shifted by the per-state maximum, so any Q scale is
     safe; exact ties split evenly in the low-temperature limit. Shifted
     exponents at or below -746 are not evaluated: exp rounds them to
@@ -439,11 +443,12 @@ def perturbed_best_response(q: np.ndarray, temperature: float) -> np.ndarray:
     """
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    shifted = q - np.fmax.reduce(q, axis=2, keepdims=True)
+    starts = bid_layout(packed_k_max(q.shape[1], "q"))[0]
+    shifted = q - per_bid(np.maximum.reduceat(q, starts, axis=1))
     shifted /= temperature
     weights = np.zeros_like(shifted)
-    np.exp(shifted, out=weights, where=shifted > -746.0)  # NaN (b > k) stays 0
-    weights /= weights.sum(axis=2, keepdims=True)
+    np.exp(shifted, out=weights, where=shifted > -746.0)
+    weights /= per_bid(np.add.reduceat(weights, starts, axis=1))
     return weights
 
 
@@ -563,17 +568,16 @@ def solve_sne(
 
 
 def write_policy_csv(path: Path | str, process: UrgencyProcess, social: SocialState) -> None:
-    """Policy table as CSV rows (urgency_level, karma, bid, probability)."""
+    """Policy table as CSV rows (urgency_level, karma, bid, probability),
+    in the packed order of the policy."""
+    _, balance, bid = bid_layout(social.k_max)
+    keys = [f"{k},{b}," for k, b in zip(balance.tolist(), bid.tolist())]
     with open(path, "w") as out:
         out.write("urgency_level,karma,bid,probability\n")
         # One urgency level at a time keeps the live text to a fraction of
         # the file, which reaches megabytes at k_max in the hundreds.
-        for level, table in zip(process.levels, social.pi):
-            lines = []
-            for k, row in enumerate(table):
-                prefix = f"{level},{k},"
-                lines.extend([f"{prefix}{b},{p!r}\n" for b, p in enumerate(row[: k + 1].tolist())])
-            out.writelines(lines)
+        for level, row in zip(process.levels, social.pi):
+            out.writelines([f"{level},{key}{p!r}\n" for key, p in zip(keys, row.tolist())])
 
 
 def write_distribution_csv(path: Path | str, process: UrgencyProcess, social: SocialState) -> None:

@@ -18,6 +18,7 @@ built on top of these functions.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +135,15 @@ class SocialState:
     Attributes:
         d: joint probability mass over (urgency index, karma) with karma
             truncated to {0, ..., k_max}; shape (n_levels, k_max + 1).
-        pi: shared bidding policy; pi[u, k, b] is the probability of
-            bidding b in state (u, k), zero for b > k; shape
-            (n_levels, k_max + 1, k_max + 1).
+        pi: shared bidding policy over the feasible bids only, packed;
+            shape (n_levels, (k_max + 1)(k_max + 2) / 2). Row u lists, for
+            each balance k in order, the probabilities of bidding
+            b = 0, ..., k in state (u, k) (see bid_layout), the row order
+            of policy.csv. A bid above the balance has no entry.
 
     Masses are validated against MASS_ATOL and renormalized exactly once,
-    here at construction; no operation renormalizes silently.
+    here at construction, into new arrays; no operation renormalizes
+    silently.
     """
 
     d: np.ndarray
@@ -151,9 +155,11 @@ class SocialState:
         if self.d.ndim != 2:
             raise ParameterError(f"d must be 2-d (levels x karma), got shape {self.d.shape}")
         n_u, nk = self.d.shape
-        if self.pi.shape != (n_u, nk, nk):
+        width = nk * (nk + 1) // 2
+        if self.pi.shape != (n_u, width):
             raise ParameterError(
-                f"pi must have shape ({n_u}, {nk}, {nk}), got {self.pi.shape}"
+                f"pi must have shape ({n_u}, {width}), one entry per feasible bid, "
+                f"got {self.pi.shape}"
             )
         # Written as `not ... <=` so that a NaN fails them too.
         if not (0.0 <= self.d.min(initial=0.0) and 0.0 <= self.pi.min(initial=0.0)):
@@ -161,17 +167,12 @@ class SocialState:
         total = float(self.d.sum())
         if not abs(total - 1.0) <= MASS_ATOL:
             raise ParameterError(f"d must sum to 1 within {MASS_ATOL}, got {total!r}")
-        feas = feasible_bids(nk - 1)
-        if self.pi.max(initial=0.0, where=~feas) > MASS_ATOL:
-            raise ParameterError("pi puts mass on bids above the karma balance")
-        # The one copy of pi: the caller's array is never written.
-        self.pi = np.where(feas, self.pi, 0.0)
-        row_sums = self.pi.sum(axis=2)
+        row_sums = np.add.reduceat(self.pi, bid_layout(nk - 1)[0], axis=1)
         worst = float(np.abs(row_sums - 1.0).max())
         if not worst <= MASS_ATOL:  # also rejects a NaN row sum
             raise ParameterError(f"pi rows must sum to 1 within {MASS_ATOL} (worst {worst:.3e})")
         self.d = self.d / total
-        self.pi /= row_sums[:, :, None]
+        self.pi = self.pi / per_bid(row_sums)
 
     @property
     def n_levels(self) -> int:
@@ -224,19 +225,48 @@ class GameConfig:
 
 
 @functools.lru_cache(maxsize=8)
-def feasible_bids(k_max: int) -> np.ndarray:
-    """Boolean mask of shape (k_max+1, k_max+1); entry [k, b] is b <= k.
+def bid_layout(k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layout of the packed tables over the feasible bids b <= k <= k_max.
 
-    Built once per k_max and shared, so it is read-only.
+    Returns (starts, balance, bid). Entry t of a packed row belongs to
+    balance balance[t] and bid bid[t], ordered by balance and then by
+    bid; the bids of balance k fill entries starts[k] = k (k + 1) / 2 to
+    starts[k] + k, so np.ufunc.reduceat at starts reduces over each
+    state's bids. Built once per k_max and shared, so read-only.
     """
-    mask = np.tril(np.ones((k_max + 1, k_max + 1), dtype=bool))
-    mask.flags.writeable = False
-    return mask
+    nk = k_max + 1
+    ks = np.arange(nk)
+    starts = ks * (ks + 1) // 2
+    balance = np.repeat(ks, ks + 1)
+    bid = np.arange(balance.size) - starts[balance]
+    for table in (starts, balance, bid):
+        table.flags.writeable = False
+    return starts, balance, bid
+
+
+def per_bid(values: np.ndarray) -> np.ndarray:
+    """Per-state values (..., k_max + 1) repeated over each balance's
+    feasible bids, giving a packed table (..., (k_max+1)(k_max+2)/2)."""
+    return np.repeat(values, np.arange(1, values.shape[-1] + 1), axis=-1)
+
+
+def packed_k_max(width: int, name: str) -> int:
+    """The k_max of a packed table with width columns, (k_max+1)(k_max+2)/2.
+
+    Raises:
+        ParameterError: naming the table if no k_max >= 0 has that width.
+    """
+    nk = (math.isqrt(8 * width + 1) - 1) // 2
+    if nk < 1 or nk * (nk + 1) // 2 != width:
+        raise ParameterError(
+            f"{name} must have (k_max+1)(k_max+2)/2 columns for some k_max >= 0, got {width}")
+    return nk - 1
 
 
 def bid_marginal(social: SocialState) -> np.ndarray:
     """Population bid distribution: nu[b] = sum_{u,k} d[u,k] pi[b|u,k]."""
-    return np.einsum("uk,ukb->b", social.d, social.pi)
+    mass = np.einsum("ut,ut->t", per_bid(social.d), social.pi)
+    return np.bincount(bid_layout(social.k_max)[2], mass, minlength=social.k_max + 1)
 
 
 def win_prob_all_bids(nu: np.ndarray) -> np.ndarray:

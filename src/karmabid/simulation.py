@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibrium import EquilibriumResult
-from .model import MASS_ATOL, GameConfig, ParameterError, UrgencyProcess, feasible_bids
+from .model import MASS_ATOL, GameConfig, ParameterError, UrgencyProcess, bid_layout, packed_k_max
 
 # Buckets of a guide table. A power of two, so int(draw * _GUIDE_BUCKETS)
 # is the exact bucket of every draw in [0, 1).
@@ -57,14 +57,14 @@ class MechanismKind(str, Enum):
 class Mechanism:
     """Allocation rule driving the experiment.
 
-    KARMA needs the bidding policy of a converged equilibrium; the other
-    kinds carry no extra state here (TURN counters live on the
-    population). The policy is checked as SocialState checks pi: finite,
-    nonnegative, no mass above MASS_ATOL on bids above the balance, rows
+    KARMA needs the bidding policy of a converged equilibrium, packed as
+    SocialState.pi is, (levels, (k_max+1)(k_max+2)/2); the other kinds
+    carry no extra state here (TURN counters live on the population). The
+    policy is checked as SocialState checks pi: finite, nonnegative, rows
     summing to 1 within MASS_ATOL. It is not renormalized. bid_cdf is
     derived once from the policy: row u * (k_max + 1) + k holds the
-    cumulative bid probabilities of an agent at urgency u with balance k;
-    bid_guide is its guide table.
+    cumulative bid probabilities of an agent at urgency u with balance k,
+    constant from bid k on; bid_guide is its guide table.
     """
 
     kind: MechanismKind
@@ -77,22 +77,26 @@ class Mechanism:
             if self.policy is None:
                 raise ParameterError("KARMA mechanism requires a bidding policy")
             policy = self.policy = np.asarray(self.policy, dtype=float)
-            if policy.ndim != 3 or policy.shape[1] != policy.shape[2]:
-                raise ParameterError(f"policy must be (levels, k+1, k+1), got {policy.shape}")
-            nk = policy.shape[2]
+            if policy.ndim != 2:
+                raise ParameterError(
+                    f"policy must be (levels, (k_max+1)(k_max+2)/2), got {policy.shape}")
+            nk = packed_k_max(policy.shape[1], "policy") + 1
             # NaN propagates into both reductions and infinities reach one.
             lowest, highest = policy.min(initial=0.0), policy.max(initial=0.0)
             if not (math.isfinite(lowest) and math.isfinite(highest)):
                 raise ParameterError("policy entries must be finite")
             if lowest < 0:
                 raise ParameterError("policy entries must be nonnegative")
-            if policy.max(initial=0.0, where=~feasible_bids(nk - 1)) > MASS_ATOL:
-                raise ParameterError("policy puts mass on bids above the karma balance")
-            worst = float(np.abs(policy.sum(axis=2) - 1.0).max(initial=0.0))
+            starts, balance, bid = bid_layout(nk - 1)
+            worst = float(np.abs(np.add.reduceat(policy, starts, axis=1) - 1.0).max(initial=0.0))
             if worst > MASS_ATOL:
                 raise ParameterError(
                     f"policy rows must sum to 1 within {MASS_ATOL} (worst {worst:.3e})")
-            self.bid_cdf = np.cumsum(policy, axis=2).reshape(-1, nk)
+            # Zeros above the balance keep each row's cumulative sums flat
+            # from bid k on.
+            square = np.zeros((policy.shape[0], nk, nk))
+            square[:, balance, bid] = policy
+            self.bid_cdf = np.cumsum(square, axis=2).reshape(-1, nk)
             self.bid_guide = _guide_table(self.bid_cdf)
         elif self.policy is not None:
             raise ParameterError(f"{self.kind.value} does not take a policy")
@@ -333,7 +337,7 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
 
     bids: Optional[np.ndarray] = None
     if mechanism.kind is MechanismKind.KARMA:
-        nk = mechanism.policy.shape[1]
+        nk = mechanism.bid_cdf.shape[1]
         state = pop.u * nk + np.minimum(pop.karma, nk - 1)
         bids = _sample_guided(mechanism.bid_cdf, mechanism.bid_guide, state, rng.random(n))
         # Balances above the policy truncation look like k_max to the

@@ -9,6 +9,7 @@ from karmabid import (
     build_urgency_process,
     solve_sne,
 )
+from oracles import pack
 
 CASE_LEVELS = [1, 2, 4, 8, 16]
 CASE_EPSILON = 0.04
@@ -21,7 +22,7 @@ def make_random_social(rng: np.random.Generator, n_levels: int, k_max: int) -> S
     d /= d.sum()
     pi = rng.random((n_levels, nk, nk)) * np.tril(np.ones((nk, nk)))
     pi /= pi.sum(axis=2, keepdims=True)
-    return SocialState(d=d, pi=pi)
+    return SocialState(d=d, pi=pack(pi))
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,28 @@ import numpy as np
 from karmabid import LpProblem, SocialState, UrgencyProcess
 
 
+def pack(square: np.ndarray) -> np.ndarray:
+    """Packed copy of a square [..., k, b] table: the entries b <= k in
+    order of k, then b, as the library stores policy and Q tables."""
+    ks, bs = np.tril_indices(square.shape[-1])
+    return square[..., ks, bs]
+
+
+def unpack(packed: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """Square [..., k, b] copy of a packed table; entries b > k hold fill.
+
+    Every oracle and test that indexes a policy or Q table by (u, k, b)
+    goes through this.
+    """
+    width = packed.shape[-1]
+    nk = (math.isqrt(8 * width + 1) - 1) // 2
+    assert nk * (nk + 1) // 2 == width, f"{width} columns is no packed width"
+    ks, bs = np.tril_indices(nk)
+    square = np.full(packed.shape[:-1] + (nk, nk), fill)
+    square[..., ks, bs] = packed
+    return square
+
+
 def outcome_probability(b: int, b_prime: int) -> float:
     """Probability that a bid of b wins against an opponent bid of b_prime:
     strictly higher bids win, strictly lower lose, ties are a fair coin."""
@@ -32,11 +54,12 @@ def outcome_probability(b: int, b_prime: int) -> float:
 
 def bid_marginal_oracle(social: SocialState) -> np.ndarray:
     nk = social.k_max + 1
+    pi = unpack(social.pi)
     nu = np.zeros(nk)
     for u in range(social.n_levels):
         for k in range(nk):
             for b in range(nk):
-                nu[b] += social.d[u, k] * social.pi[u, k, b]
+                nu[b] += social.d[u, k] * pi[u, k, b]
     return nu
 
 
@@ -54,11 +77,12 @@ def _win_prob_table(nu: np.ndarray) -> list[float]:
 def average_payment_oracle(social: SocialState) -> float:
     nu = bid_marginal_oracle(social)
     win = _win_prob_table(nu)
+    pi = unpack(social.pi)
     total = 0.0
     for u in range(social.n_levels):
         for k in range(social.k_max + 1):
             for b in range(k + 1):
-                total += social.d[u, k] * social.pi[u, k, b] * win[b] * b
+                total += social.d[u, k] * pi[u, k, b] * win[b] * b
     return total
 
 
@@ -126,11 +150,12 @@ def rewards_oracle(process: UrgencyProcess, social: SocialState) -> np.ndarray:
     nu = bid_marginal_oracle(social)
     win = _win_prob_table(nu)
     nk = social.k_max + 1
+    pi = unpack(social.pi)
     reward = np.zeros((process.n_levels, nk))
     for u in range(process.n_levels):
         for k in range(nk):
             for b in range(k + 1):
-                reward[u, k] += social.pi[u, k, b] * (-process.levels[u] * (1.0 - win[b]))
+                reward[u, k] += pi[u, k, b] * (-process.levels[u] * (1.0 - win[b]))
     return reward
 
 
@@ -141,15 +166,16 @@ def kernel_oracle(process: UrgencyProcess, social: SocialState) -> np.ndarray:
     p_bar = average_payment_oracle(social)
     nk = social.k_max + 1
     n_u = process.n_levels
+    pi = unpack(social.pi)
     size = n_u * nk
     kernel = np.zeros((size, size))
     for u in range(n_u):
         for k in range(nk):
             row = np.zeros((n_u, nk))
             for b in range(k + 1):
-                if social.pi[u, k, b] == 0.0:
+                if pi[u, k, b] == 0.0:
                     continue
-                row += social.pi[u, k, b] * _rho_oracle(process, social.k_max, win, p_bar, u, k, b)
+                row += pi[u, k, b] * _rho_oracle(process, social.k_max, win, p_bar, u, k, b)
             kernel[u * nk + k] = row.ravel()
     return kernel
 
@@ -192,30 +218,32 @@ def q_oracle(
 
 
 def best_response_oracle(q: np.ndarray, temperature: float) -> np.ndarray:
-    """Softmax over each row's non-NaN entries, shifted by the row maximum,
-    one exponential at a time; NaN entries get probability zero."""
-    n_u, n_k, n_b = q.shape
-    pi = np.zeros(q.shape)
+    """Softmax over each state's feasible bids of a packed Q table, shifted
+    by the state's maximum, one exponential at a time; packed like q."""
+    square = unpack(q, fill=math.nan)
+    n_u, n_k, n_b = square.shape
+    pi = np.zeros(square.shape)
     for u in range(n_u):
         for k in range(n_k):
-            row = {b: float(q[u, k, b]) for b in range(n_b) if not math.isnan(q[u, k, b])}
+            row = {b: float(square[u, k, b]) for b in range(n_b) if not math.isnan(square[u, k, b])}
             top = max(row.values())
             weights = {b: math.exp((value - top) / temperature) for b, value in row.items()}
             total = sum(weights.values())
             for b, weight in weights.items():
                 pi[u, k, b] = weight / total
-    return pi
+    return pack(pi)
 
 
 def exploitability_oracle(q: np.ndarray, pi: np.ndarray) -> float:
-    """Largest gain of the best non-NaN entry of a row over the policy's
-    average of that row, floored at zero."""
-    n_u, n_k, n_b = q.shape
+    """Largest gain of a state's best feasible bid over the policy's
+    average, floored at zero; q and pi packed."""
+    square, policy = unpack(q, fill=math.nan), unpack(pi)
+    n_u, n_k, n_b = square.shape
     gain = 0.0
     for u in range(n_u):
         for k in range(n_k):
-            row = {b: float(q[u, k, b]) for b in range(n_b) if not math.isnan(q[u, k, b])}
-            current = sum(float(pi[u, k, b]) * value for b, value in row.items())
+            row = {b: float(square[u, k, b]) for b in range(n_b) if not math.isnan(square[u, k, b])}
+            current = sum(float(policy[u, k, b]) * value for b, value in row.items())
             gain = max(gain, max(row.values()) - current)
     return gain
 
@@ -232,11 +260,12 @@ def deviation_gains_oracle(
     kernel = kernel_oracle(process, social)
     values = value_iteration_oracle(reward, kernel, alpha)
     nk = social.k_max + 1
+    pi = unpack(social.pi)
     gains = np.zeros((process.n_levels, nk))
     for u in range(process.n_levels):
         for k in range(nk):
             q_row = q_oracle(process, social, values, alpha, u, k)
-            policy_value = sum(social.pi[u, k, b] * q_row[b] for b in range(k + 1))
+            policy_value = sum(pi[u, k, b] * q_row[b] for b in range(k + 1))
             gains[u, k] = q_row.max() - policy_value
     return gains
 

@@ -23,7 +23,7 @@ from karmabid import (
     solve_lp,
 )
 from karmabid.cli import main
-from oracles import deviation_gains_oracle, vertex_enumeration_lp
+from oracles import deviation_gains_oracle, unpack, vertex_enumeration_lp
 
 SEEDS = (11, 12, 13, 14, 15)
 MECHANISMS = (
@@ -97,7 +97,7 @@ def test_criterion_2_equilibrium_mean_karma(case_config, case_equilibrium):
 def test_criterion_3_bids_monotone_in_urgency(case_config, case_equilibrium):
     social = case_equilibrium.social
     bids = np.arange(case_config.k_max + 1, dtype=float)
-    expected_bid = social.pi @ bids
+    expected_bid = unpack(social.pi) @ bids
     worst = 0.0
     for k in range(case_config.k_max + 1):
         eligible = np.nonzero(social.d[:, k] > 1e-4)[0]

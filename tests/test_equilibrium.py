@@ -31,9 +31,11 @@ from oracles import (
     deviation_gains_oracle,
     exploitability_oracle,
     kernel_oracle,
+    pack,
     power_iteration_oracle,
     q_oracle,
     rewards_oracle,
+    unpack,
     value_iteration_oracle,
 )
 
@@ -43,23 +45,21 @@ def zero_level_process() -> UrgencyProcess:
 
 
 def stress_q_table(rng: np.random.Generator, temperature: float) -> np.ndarray:
-    """Random Q table, NaN above the diagonal, with rows that probe the
-    softmax: shifted, scaled exponents spread over [-746, -708] (denormal
-    and zero exponentials), a row with a single non-NaN entry, and rows
-    with exact ties at the maximum."""
+    """Random packed Q table with states that probe the softmax: shifted,
+    scaled exponents spread over [-746, -708] (denormal and zero
+    exponentials), the single feasible bid of balance 0, and exact ties
+    at the maximum."""
     n_u, nk = 3, 14
     q = rng.standard_normal((n_u, nk, nk))
-    q[:, ~np.tril(np.ones((nk, nk), dtype=bool))] = np.nan
     gaps = [0.0, -708.0, -708.4, -720.0, -740.0, -745.0, -745.1, -745.2, -745.9,
             -746.0, -746.1, -800.0, -3.0]
     q[0, 12, :13] = temperature * np.array(gaps)
     q[0, 13, :14] = 7.0 + temperature * rng.uniform(-746.0, -708.0, 14)
     q[0, 13, 5] = 7.0
-    q[1, 6, :] = np.nan
-    q[1, 6, 3] = 0.7
+    q[1, 0, 0] = 0.7
     q[2, 8, :9] = [1.0, 2.0, 2.0, 0.5, 2.0, -1.0, 2.0, 0.0, 1.5]
     q[2, 4, :5] = 0.25
-    return q
+    return pack(q)
 
 
 # Slack for oracle entries that are themselves denormal: a quotient there
@@ -165,23 +165,24 @@ class TestQFunction:
         social = make_random_social(rng, case_process.n_levels, 8)
         config = GameConfig(alpha=0.0, k_bar=4, k_max=8)
         values = policy_evaluation(case_process, social, config)
-        q = q_function(values, case_process, social, config)
+        q = unpack(q_function(values, case_process, social, config))
         nu = bid_marginal(social)
         xi = -np.outer(case_process.level_values, 1.0 - win_prob_all_bids(nu))
         for k in range(9):
             np.testing.assert_allclose(q[:, k, : k + 1], xi[:, : k + 1], atol=1e-14)
 
     def test_infeasible_bids_absent(self, case_process, case_config, case_equilibrium):
+        # The packed table has exactly one finite entry per feasible bid.
         q = case_equilibrium.values.Q
-        for k in range(case_config.k_max + 1):
-            assert np.isnan(q[:, k, k + 1 :]).all()
-            assert np.isfinite(q[:, k, : k + 1]).all()
+        nk = case_config.k_max + 1
+        assert q.shape == (case_process.n_levels, nk * (nk + 1) // 2)
+        assert np.isfinite(q).all()
 
     def test_spot_state_matches_bruteforce(self, case_process, case_config):
         rng = np.random.default_rng(3)
         social = make_random_social(rng, case_process.n_levels, case_config.k_max)
         values = policy_evaluation(case_process, social, case_config)
-        q = q_function(values, case_process, social, case_config)
+        q = unpack(q_function(values, case_process, social, case_config))
         spot = q_oracle(case_process, social, values.V, case_config.alpha, u=4, k=10)
         np.testing.assert_allclose(q[4, 10, :11], spot, atol=1e-9)
 
@@ -189,34 +190,31 @@ class TestQFunction:
         process, config = small_game
         social = make_random_social(np.random.default_rng(19), process.n_levels, config.k_max)
         values = policy_evaluation(process, social, config)
-        q = q_function(values, process, social, config)
+        q = unpack(q_function(values, process, social, config), fill=np.nan)
         for u in range(process.n_levels):
             for k in range(config.k_max + 1):
                 row = q_oracle(process, social, values.V, config.alpha, u=u, k=k)
                 np.testing.assert_allclose(q[u, k, : k + 1], row, rtol=0, atol=1e-12)
-                assert np.isnan(q[u, k, k + 1 :]).all()
 
 
 class TestPerturbedBestResponse:
     def test_uniform_q_gives_uniform_policy(self):
-        q = np.zeros((1, 4, 4))
-        q[0] = np.where(np.tril(np.ones((4, 4), bool)), 1.25, np.nan)
-        pi = perturbed_best_response(q, temperature=0.7)
+        q = np.full((1, 10), 1.25)  # balances 0 to 3
+        pi = unpack(perturbed_best_response(q, temperature=0.7))
         for k in range(4):
             np.testing.assert_allclose(pi[0, k, : k + 1], 1.0 / (k + 1), atol=1e-12)
-            assert pi[0, k, k + 1 :].sum() == 0.0
 
     def test_low_temperature_selects_argmax(self):
-        q = np.full((1, 1, 4), np.nan)
-        q[0, 0] = [0.0, 1.0, 3.0, 2.0]
-        pi = perturbed_best_response(q, temperature=1e-9)
-        np.testing.assert_allclose(pi[0, 0], [0, 0, 1, 0], atol=1e-6)
+        q = np.zeros((1, 4, 4))
+        q[0, 3] = [0.0, 1.0, 3.0, 2.0]
+        pi = unpack(perturbed_best_response(pack(q), temperature=1e-9))
+        np.testing.assert_allclose(pi[0, 3], [0, 0, 1, 0], atol=1e-6)
 
     def test_low_temperature_splits_exact_ties(self):
-        q = np.full((1, 1, 4), np.nan)
-        q[0, 0] = [0.0, 3.0, 3.0, 1.0]
-        pi = perturbed_best_response(q, temperature=1e-9)
-        np.testing.assert_allclose(pi[0, 0], [0, 0.5, 0.5, 0], atol=1e-6)
+        q = np.zeros((1, 4, 4))
+        q[0, 3] = [0.0, 3.0, 3.0, 1.0]
+        pi = unpack(perturbed_best_response(pack(q), temperature=1e-9))
+        np.testing.assert_allclose(pi[0, 3], [0, 0.5, 0.5, 0], atol=1e-6)
 
     @pytest.mark.parametrize("temperature", [2.0, 1e-2, 1e-5])
     def test_matches_oracle_on_stress_rows(self, temperature):
@@ -226,22 +224,22 @@ class TestPerturbedBestResponse:
         np.testing.assert_array_equal(pi == 0.0, oracle == 0.0)
         np.testing.assert_allclose(pi, oracle, rtol=1e-15, atol=DENORMAL_SLACK)
         # the gap row does reach denormal weights and exact zeros
-        gap_row = oracle[0, 12]
+        gap_row = unpack(oracle)[0, 12, :13]
         assert ((0.0 < gap_row) & (gap_row < np.finfo(float).tiny)).any()
         assert (gap_row[9:12] == 0.0).all()
 
     def test_rejects_nonpositive_temperature(self):
-        q = np.zeros((1, 1, 1))
+        q = np.zeros((1, 1))
         with pytest.raises(ParameterError):
             perturbed_best_response(q, temperature=0.0)
 
     def test_extreme_values_do_not_overflow(self):
         # value scale of a discounted game with top urgency 16 at alpha 0.98
-        q = np.full((1, 1, 3), np.nan)
-        q[0, 0] = [-800.0, -1.0, -400.0]
-        pi = perturbed_best_response(q, temperature=1e-5)
-        assert np.isfinite(pi[0, 0, :3]).all()
-        np.testing.assert_allclose(pi[0, 0], [0, 1, 0], atol=1e-12)
+        q = np.zeros((1, 3, 3))
+        q[0, 2] = [-800.0, -1.0, -400.0]
+        pi = unpack(perturbed_best_response(pack(q), temperature=1e-5))
+        assert np.isfinite(pi).all()
+        np.testing.assert_allclose(pi[0, 2], [0, 1, 0], atol=1e-12)
 
 
 class TestExploitability:
@@ -252,14 +250,15 @@ class TestExploitability:
         for pi in (best_response_oracle(q, 1.0), best_response_oracle(q, temperature)):
             gain = exploitability(q, pi)
             oracle = exploitability_oracle(q, pi)
-            assert gain == pytest.approx(oracle, rel=1e-15, abs=1e-15 * np.nanmax(np.abs(q)))
+            assert gain == pytest.approx(oracle, rel=1e-15, abs=1e-15 * np.abs(q).max())
 
     def test_zero_at_a_deterministic_best_response(self):
         q = stress_q_table(np.random.default_rng(23), 1.0)
-        pi = np.zeros(q.shape)
-        for index in np.ndindex(q.shape[:2]):
-            pi[index + (int(np.nanargmax(q[index])),)] = 1.0
-        assert exploitability(q, pi) == 0.0 == exploitability_oracle(q, pi)
+        square = unpack(q, fill=-np.inf)
+        pi = np.zeros(square.shape)
+        for index in np.ndindex(square.shape[:2]):
+            pi[index + (int(np.argmax(square[index])),)] = 1.0
+        assert exploitability(q, pack(pi)) == 0.0 == exploitability_oracle(q, pack(pi))
 
 
 class TestStationaryDistributionStep:
@@ -270,6 +269,7 @@ class TestStationaryDistributionStep:
         nk = 7
         pi = np.zeros((3, nk, nk))
         pi[:, :, 0] = 1.0
+        pi = pack(pi)
         d0 = np.zeros((3, nk))
         d0[:, 3] = 1.0 / 3.0
         social = SocialState(d=d0, pi=pi)
@@ -347,7 +347,7 @@ class TestTransitionKernel:
         pi = np.zeros((case_process.n_levels, nk, nk))
         for k in range(nk):
             pi[:, k, min(k, 4)] = 1.0
-        social = SocialState(d=d, pi=pi)
+        social = SocialState(d=d, pi=pack(pi))
         assert TransitionOperator(case_process, social).f_low == 0.0
         assert_operator_matches_oracle(case_process, social, seed=16)
 
@@ -360,7 +360,7 @@ class TestTransitionKernel:
         d[:, -2:] = rng.random((case_process.n_levels, 2))
         d /= d.sum()
         pi = rng.random((case_process.n_levels, nk, nk)) * np.tril(np.ones((nk, nk)))
-        social = SocialState(d=d, pi=pi / pi.sum(axis=2, keepdims=True))
+        social = SocialState(d=d, pi=pack(pi / pi.sum(axis=2, keepdims=True)))
         push = TransitionOperator(case_process, social).push(social.d)
         assert push[:, -1].sum() > 0.0
         assert abs(push.sum() - 1.0) <= 1e-12
@@ -488,4 +488,4 @@ class TestWritePolicyCsv:
         expected = [(level, k, b) for level in case_process.levels for k, b in zip(ks.tolist(), bs.tolist())]
         assert [(int(r[0]), int(r[1]), int(r[2])) for r in rows] == expected
         probability = np.array([float(r[3]) for r in rows])
-        np.testing.assert_array_equal(probability, social.pi[:, ks, bs].ravel())
+        np.testing.assert_array_equal(probability, unpack(social.pi)[:, ks, bs].ravel())

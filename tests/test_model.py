@@ -25,18 +25,21 @@ from oracles import (
     bid_marginal_oracle,
     karma_transition_oracle,
     outcome_probability,
+    pack,
     state_transition_oracle,
+    unpack,
     win_prob_oracle,
 )
 
 
 def point_policy(n_levels: int, k_max: int, bid_of_k) -> np.ndarray:
-    """Deterministic policy bidding bid_of_k(k) (clipped to k) in every state."""
+    """Deterministic packed policy bidding bid_of_k(k) (clipped to k) in
+    every state."""
     nk = k_max + 1
     pi = np.zeros((n_levels, nk, nk))
     for k in range(nk):
         pi[:, k, min(bid_of_k(k), k)] = 1.0
-    return pi
+    return pack(pi)
 
 
 class TestBuildUrgencyProcess:
@@ -292,7 +295,7 @@ class TestStateTransition:
         social = make_random_social(rng, case_process.n_levels, config.k_max)
         values = policy_evaluation(case_process, social, config)
         values = dataclasses.replace(values, V=rng.standard_normal(social.d.shape))
-        q = q_function(values, case_process, social, config)
+        q = unpack(q_function(values, case_process, social, config))
         lose = 1.0 - win_prob_all_bids(bid_marginal(social))
         for _ in range(8):
             u = int(rng.integers(case_process.n_levels))
@@ -331,19 +334,40 @@ class TestSocialStateValidation:
             SocialState(d=d, pi=point_policy(1, 1, lambda k: 0))
 
     def test_rejects_infeasible_bid_mass(self):
+        # The packed policy has no entry for a bid above the balance, so
+        # only a table of another shape, such as the square one, can carry
+        # that mass; it is rejected by its shape.
         d = np.full((1, 2), 0.5)
         pi = np.zeros((1, 2, 2))
         pi[0, 0, 1] = 1.0  # bid 1 with karma 0
         pi[0, 1, 0] = 1.0
-        with pytest.raises(ParameterError):
-            SocialState(d=d, pi=pi)
+        for table in (pi, pi.reshape(1, 4)):
+            with pytest.raises(ParameterError, match=r"pi must have shape \(1, 3\)"):
+                SocialState(d=d, pi=table)
+
+    def test_rejects_nan_in_policy(self):
+        pi = point_policy(2, 3, lambda k: 0)
+        pi[1, 4] = np.nan  # balance 2, bid 1
+        with pytest.raises(ParameterError, match="NaN"):
+            SocialState(d=np.full((2, 4), 1 / 8), pi=pi)
 
     def test_construction_renormalizes_exactly(self):
         rng = np.random.default_rng(5)
         social = make_random_social(rng, 3, 6)
         assert abs(social.d.sum() - 1.0) <= 1e-14
-        sums = social.pi.sum(axis=2)
+        sums = unpack(social.pi).sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-14)
+
+    def test_construction_never_writes_the_callers_arrays(self):
+        rng = np.random.default_rng(6)
+        given = make_random_social(rng, 2, 4)
+        d, pi = given.d * (1.0 + 5e-11), given.pi * (1.0 + 5e-11)  # within MASS_ATOL
+        d_in, pi_in = d.copy(), pi.copy()
+        social = SocialState(d=d, pi=pi)
+        np.testing.assert_array_equal(d, d_in)
+        np.testing.assert_array_equal(pi, pi_in)
+        assert not np.shares_memory(social.d, d) and not np.shares_memory(social.pi, pi)
+        np.testing.assert_allclose(unpack(social.pi).sum(axis=2), 1.0, rtol=0, atol=1e-14)
 
 
 class TestGameConfigValidation:
@@ -405,7 +429,7 @@ class TestRandomizedInvariants:
             d /= d.sum()
             pi = rng.random((case_process.n_levels, nk, nk)) * np.tril(np.ones((nk, nk)))
             pi /= pi.sum(axis=2, keepdims=True)
-            social = SocialState(d=d, pi=pi)
+            social = SocialState(d=d, pi=pack(pi))
             mean_before = social.mean_karma
             mean_after = _expected_next_karma(case_process, social)
             assert mean_after == pytest.approx(mean_before, abs=1e-9)
@@ -441,10 +465,10 @@ class TestRandomizedInvariants:
         social = make_random_social(rng, case_process.n_levels, k_max)
         nk = k_max + 1
         noise = rng.standard_normal((case_process.n_levels, nk, nk)) * 1e-6
-        pi_perturbed = np.clip(social.pi + noise, 0.0, None) * np.tril(np.ones((nk, nk)))
+        pi_perturbed = np.clip(unpack(social.pi) + noise, 0.0, None) * np.tril(np.ones((nk, nk)))
         pi_perturbed /= pi_perturbed.sum(axis=2, keepdims=True)
-        perturbed = SocialState(d=social.d.copy(), pi=pi_perturbed)
-        delta = 0.5 * np.abs(perturbed.pi - social.pi).sum(axis=2).max()
+        perturbed = SocialState(d=social.d.copy(), pi=pack(pi_perturbed))
+        delta = 0.5 * np.abs(unpack(perturbed.pi) - unpack(social.pi)).sum(axis=2).max()
         assert delta > 0
         before_op = TransitionOperator(case_process, social)
         after_op = TransitionOperator(case_process, perturbed)

@@ -23,15 +23,16 @@ from karmabid import (
     solve_sne,
 )
 from karmabid.simulation import _guide_table, _sample_cdf, _sample_guided, write_trace_csv
-from oracles import sample_rows_oracle
+from oracles import pack, sample_rows_oracle, unpack
 
 
 def uniform_policy(n_levels: int, k_max: int) -> np.ndarray:
+    """Packed policy, uniform over the feasible bids; unpack() to edit it."""
     nk = k_max + 1
     pi = np.zeros((n_levels, nk, nk))
     for k in range(nk):
         pi[:, k, : k + 1] = 1.0 / (k + 1)
-    return pi
+    return pack(pi)
 
 
 @pytest.fixture
@@ -88,34 +89,38 @@ class TestMechanism:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_karma_rejects_non_finite_policy(self, bad):
-        policy = uniform_policy(2, 4)
+        policy = unpack(uniform_policy(2, 4))
         policy[1, 3, 2] = bad
         with pytest.raises(ParameterError, match="policy entries must be finite"):
-            Mechanism(kind=MechanismKind.KARMA, policy=policy)
+            Mechanism(kind=MechanismKind.KARMA, policy=pack(policy))
 
     def test_karma_rejects_negative_policy_entry(self):
-        policy = uniform_policy(2, 4)
+        policy = unpack(uniform_policy(2, 4))
         policy[0, 2] = [-0.1, 0.6, 0.5, 0.0, 0.0]  # the row still sums to 1
         with pytest.raises(ParameterError, match="policy entries must be nonnegative"):
-            Mechanism(kind=MechanismKind.KARMA, policy=policy)
+            Mechanism(kind=MechanismKind.KARMA, policy=pack(policy))
 
     def test_karma_rejects_mass_above_the_balance(self):
-        policy = uniform_policy(2, 4)
-        policy[0, 1] = [0.5, 0.25, 0.25, 0.0, 0.0]  # bids 2 with balance 1
-        with pytest.raises(ParameterError, match="policy puts mass on bids above"):
-            Mechanism(kind=MechanismKind.KARMA, policy=policy)
+        # The packed policy has no entry for a bid above the balance. Only
+        # a table of another shape, such as the square one, can hold such
+        # mass, and it is rejected by its shape, with the field named.
+        square = unpack(uniform_policy(2, 4))
+        square[0, 1] = [0.5, 0.25, 0.25, 0.0, 0.0]  # bids 2 with balance 1
+        for policy in (square, square.reshape(2, 25), uniform_policy(2, 4)[:, :-1]):
+            with pytest.raises(ParameterError, match="policy must"):
+                Mechanism(kind=MechanismKind.KARMA, policy=policy)
 
     def test_karma_rejects_rows_off_one(self):
         # Half mass: every draw above 0.5 would bid the top bid.
-        policy = uniform_policy(2, 4)
+        policy = unpack(uniform_policy(2, 4))
         policy[1, 4] *= 0.5
         with pytest.raises(ParameterError, match="policy rows must sum to 1"):
-            Mechanism(kind=MechanismKind.KARMA, policy=policy)
+            Mechanism(kind=MechanismKind.KARMA, policy=pack(policy))
 
     def test_karma_accepts_rows_within_mass_tolerance(self):
-        policy = uniform_policy(2, 4)
+        policy = unpack(uniform_policy(2, 4))
         policy[1, 4, 0] += 5e-11
-        mechanism = Mechanism(kind=MechanismKind.KARMA, policy=policy)
+        mechanism = Mechanism(kind=MechanismKind.KARMA, policy=pack(policy))
         assert mechanism.bid_guide.shape == (2 * 5, 257)
 
 
@@ -192,17 +197,17 @@ def point_zero_policy(n_levels: int, k_max: int) -> np.ndarray:
     nk = k_max + 1
     pi = np.zeros((n_levels, nk, nk))
     pi[:, :, 0] = 1.0
-    return pi
+    return pack(pi)
 
 
 def pinned_policy(n_levels: int, k_max: int) -> np.ndarray:
-    """Seeded random policy with many zero-probability bids."""
+    """Seeded random packed policy with many zero-probability bids."""
     rng = np.random.default_rng(5)
     nk = k_max + 1
     pi = rng.random((n_levels, nk, nk)) * np.tril(np.ones((nk, nk)))
     pi[rng.random(pi.shape) < 0.4] = 0.0
     pi[:, :, 0] += 0.05
-    return pi / pi.sum(axis=2, keepdims=True)
+    return pack(pi / pi.sum(axis=2, keepdims=True))
 
 
 def random_rows(rng: np.random.Generator, n_rows: int, width: int) -> np.ndarray:
@@ -267,7 +272,7 @@ class TestSampleCdf:
         draws = rng.random(n)
         capped = np.minimum(karma, k_max)
         got = self.sample(mechanism.bid_cdf, u * (k_max + 1) + capped, draws)
-        np.testing.assert_array_equal(got, sample_rows_oracle(policy[u, capped], draws))
+        np.testing.assert_array_equal(got, sample_rows_oracle(unpack(policy)[u, capped], draws))
 
 
 def guided(cdf: np.ndarray, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
