@@ -10,13 +10,10 @@ against coin-flip, turn-taking, and a linear-programming upper bound.
 
 from .baselines import (
     LpProblem,
-    TurnCounter,
     build_max_eff_lp,
     mixture_stationary_distribution,
-    random_choose,
     random_long_run_reward,
     solve_lp,
-    turn_choose,
 )
 from .config import ARTIFACT_VERSION, DEFAULTS, RunManifest, RunSetup, load_config, setup_from_mapping
 from .equilibrium import (
@@ -73,7 +70,6 @@ __all__ = [
     "SocialState",
     "SolverConfig",
     "SolverError",
-    "TurnCounter",
     "UrgencyProcess",
     "ValueTables",
     "average_payment",
@@ -88,7 +84,6 @@ __all__ = [
     "perturbed_best_response",
     "policy_evaluation",
     "q_function",
-    "random_choose",
     "random_long_run_reward",
     "run_experiment",
     "run_round",
@@ -96,6 +91,5 @@ __all__ = [
     "solve_lp",
     "solve_sne",
     "solve_standard_form",
-    "turn_choose",
     "win_prob_all_bids",
 ]

@@ -1,15 +1,16 @@
-"""Benchmark allocation rules and the efficiency upper bound.
+"""The efficiency upper bound and the analytic coin-flip reward.
 
-Three references frame the karma mechanism's performance:
+The allocation rules themselves (RANDOM, TURN, GREEDY_URGENCY) live in
+the simulator. This module holds the two references computed from the
+urgency chain alone:
 
-- RANDOM tosses a fair coin per paired interaction.
-- TURN grants the resource to the paired agent with the lower historical
-  win fraction (ties, including the very first interaction, by coin).
 - MAX_EFF is a linear program over joint (urgency, outcome) mass: it
   maximizes the population reward subject to stationarity of the urgency
   marginal, normalization, and a 0.5 aggregate win share. Its optimum
   upper-bounds the long-run average reward of any allocation rule whose
   urgency transitions follow the same outcome-conditioned chain.
+- The long-run reward of RANDOM follows from the stationary urgency
+  distribution under an even coin.
 """
 
 from __future__ import annotations
@@ -99,12 +100,10 @@ def solve_lp(problem: LpProblem) -> tuple[float, np.ndarray]:
     return -neg_value, x
 
 
-def mixture_stationary_distribution(process: UrgencyProcess, win_share: float = 0.5) -> np.ndarray:
-    """Stationary urgency distribution when every agent wins a fixed share
-    of its interactions, independent of state."""
-    if not 0.0 <= win_share <= 1.0:
-        raise ParameterError(f"win_share must lie in [0, 1], got {win_share}")
-    mix = win_share * process.phi[0] + (1.0 - win_share) * process.phi[1]
+def mixture_stationary_distribution(process: UrgencyProcess) -> np.ndarray:
+    """Stationary urgency distribution when every agent wins half of its
+    interactions, independent of state."""
+    mix = 0.5 * process.phi[0] + 0.5 * process.phi[1]
     n = process.n_levels
     # Stationarity rows plus normalization; full column rank for an
     # irreducible chain, solved in the least-squares sense.
@@ -121,51 +120,5 @@ def random_long_run_reward(process: UrgencyProcess) -> float:
     At the even-coin stationary urgency distribution an agent loses half
     the time, paying its current urgency.
     """
-    dist = mixture_stationary_distribution(process, win_share=0.5)
+    dist = mixture_stationary_distribution(process)
     return float(-(dist @ process.level_values) / 2.0)
-
-
-@dataclass
-class TurnCounter:
-    """Per-agent history the TURN rule compares: wins over interactions."""
-
-    wins: int = 0
-    interactions: int = 0
-
-    def __post_init__(self) -> None:
-        if self.wins < 0 or self.interactions < 0 or self.wins > self.interactions:
-            raise ParameterError(
-                f"invalid counters: wins={self.wins} interactions={self.interactions}"
-            )
-
-    @property
-    def fraction(self) -> float:
-        # A fresh agent counts as fraction zero, making it maximally favored.
-        return self.wins / self.interactions if self.interactions else 0.0
-
-    def record(self, won: bool) -> None:
-        self.interactions += 1
-        if won:
-            self.wins += 1
-
-
-def random_choose(rng: np.random.Generator) -> tuple[int, int]:
-    """Fair-coin outcome pair for two paired agents: (0, 1) or (1, 0)."""
-    return (0, 1) if rng.random() < 0.5 else (1, 0)
-
-
-def turn_choose(a: TurnCounter, b: TurnCounter, rng: np.random.Generator) -> int:
-    """Pick the winner between two agents by lower historical win fraction.
-
-    Exact ties fall back to a fair coin. Both counters are updated after
-    the decision. Returns 0 if the first agent wins, 1 otherwise.
-    """
-    if a.fraction < b.fraction:
-        winner = 0
-    elif b.fraction < a.fraction:
-        winner = 1
-    else:
-        winner = 0 if rng.random() < 0.5 else 1
-    a.record(winner == 0)
-    b.record(winner == 1)
-    return winner

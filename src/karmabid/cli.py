@@ -57,8 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="config file, JSON config, or run manifest (default: case study)")
         cmd.add_argument("--seed", type=int, default=None, help="override the configured rng seed")
         cmd.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv",
-                         help="stdout summary format where applicable")
+        if name in ("simulate", "compare"):
+            cmd.add_argument("--format", choices=("csv", "json"), default="csv",
+                             help="stdout summary format")
         if name == "simulate":
             cmd.add_argument("--mechanism", required=True, choices=sorted(_MECHANISM_NAMES),
                              help="allocation mechanism to simulate")
@@ -88,7 +89,7 @@ def _write_equilibrium_files(out: Path, setup: RunSetup, result: EquilibriumResu
     return {name: str(p) for name, p in paths.items()}
 
 
-def cmd_solve(setup: RunSetup, out: Path, fmt: str) -> int:
+def cmd_solve(setup: RunSetup, out: Path) -> int:
     timings: dict = {}
     result = _solve_with_timing(setup, timings)
     outputs = _write_equilibrium_files(out, setup, result)
@@ -199,7 +200,7 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     return EXIT_OK
 
 
-def cmd_lp(setup: RunSetup, out: Path, fmt: str) -> int:
+def cmd_lp(setup: RunSetup, out: Path) -> int:
     problem = build_max_eff_lp(setup.process)
     start = time.perf_counter()
     value, psi = solve_lp(problem)
@@ -231,14 +232,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             setup = setup.with_seed(args.seed)
         if args.command == "solve":
-            return cmd_solve(setup, args.out, args.format)
+            return cmd_solve(setup, args.out)
         if args.command == "simulate":
             return cmd_simulate(setup, args.mechanism, args.out, args.format)
         if args.command == "compare":
             return cmd_compare(setup, args.out, args.format)
-        if args.command == "lp":
-            return cmd_lp(setup, args.out, args.format)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_lp(setup, args.out)  # the subparsers admit no other command
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -248,7 +247,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ DEFAULTS: dict = {
     "max_outer_iters": 2000,
 }
 
-_GAME_KEYS = ("alpha", "epsilon", "k_bar", "k_max", "n_agents", "n_rounds", "burn_in", "rng_seed")
+_GAME_KEYS = ("alpha", "k_bar", "k_max", "n_agents", "n_rounds", "burn_in", "rng_seed")
 _SOLVER_KEYS = (
     "br_temperature", "temperature_decay", "temperature_floor", "step_size",
     "tol_policy", "tol_distribution", "tol_value", "max_outer_iters",

@@ -58,6 +58,7 @@ from .model import (
     packed_k_max,
     per_bid,
     redistribution_split,
+    require_int,
     win_prob_all_bids,
 )
 
@@ -116,6 +117,7 @@ class SolverConfig:
             value = getattr(self, field.name)
             if not math.isfinite(value):  # NaN passes every comparison below
                 raise ParameterError(f"{field.name} must be finite, got {value}")
+        require_int("max_outer_iters", self.max_outer_iters)
         for name in ("br_temperature", "temperature_decay", "temperature_floor",
                      "step_size", "tol_policy", "tol_distribution", "tol_value"):
             if getattr(self, name) <= 0:
@@ -469,7 +471,6 @@ def solve_sne(
     process: UrgencyProcess,
     config: GameConfig,
     solver: SolverConfig | None = None,
-    initial: SocialState | None = None,
 ) -> EquilibriumResult:
     """Iterate smoothed best response with annealing to a stationary equilibrium.
 
@@ -494,12 +495,7 @@ def solve_sne(
     never as an exception.
     """
     solver = solver if solver is not None else SolverConfig()
-    social = initial if initial is not None else initial_social_state(process, config)
-    if social.d.shape != (process.n_levels, config.k_max + 1):
-        raise ParameterError(
-            f"initial social state shape {social.d.shape} does not match "
-            f"({process.n_levels}, {config.k_max + 1})"
-        )
+    social = initial_social_state(process, config)
     temperature = solver.br_temperature
     step = solver.step_size
     trace: list[tuple[float, float]] = []

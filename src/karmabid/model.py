@@ -36,6 +36,14 @@ class ParameterError(ValueError):
     """A constructor or operation received an invalid parameter."""
 
 
+def require_int(name: str, value) -> int:
+    """value as an int, or a ParameterError naming the field if value is
+    not an integer (a bool, or a float with an integral value, is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class UrgencyProcess:
     """Finite urgency chain with outcome-conditioned transitions.
@@ -54,7 +62,7 @@ class UrgencyProcess:
     epsilon: float
 
     def __post_init__(self) -> None:
-        self.levels = tuple(int(v) for v in self.levels)
+        self.levels = tuple(require_int(f"levels[{i}]", v) for i, v in enumerate(self.levels))
         self.phi = np.asarray(self.phi, dtype=float)
         n = len(self.levels)
         if n < 1:
@@ -109,17 +117,13 @@ def build_urgency_process(levels, epsilon: float) -> UrgencyProcess:
         epsilon: noise mass in (0, 1).
 
     Raises:
-        ParameterError: for non-increasing levels, fewer than two levels,
-            or epsilon outside (0, 1).
+        ParameterError: for fewer than two levels, non-integer or
+            non-increasing levels, or epsilon outside (0, 1).
     """
-    levels = tuple(int(v) for v in levels)
     n = len(levels)
     if n < 2:
         raise ParameterError("need at least two urgency levels to build the standard chain")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ParameterError(f"levels must be strictly increasing, got {levels}")
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
+    # UrgencyProcess checks the levels and epsilon before it reads phi.
     off = epsilon / (n - 1)
     phi = np.full((2, n, n), off)
     phi[WIN, :, 0] = 1.0 - epsilon
@@ -141,9 +145,9 @@ class SocialState:
             b = 0, ..., k in state (u, k) (see bid_layout), the row order
             of policy.csv. A bid above the balance has no entry.
 
-    Masses are validated against MASS_ATOL and renormalized exactly once,
-    here at construction, into new arrays; no operation renormalizes
-    silently.
+    Masses are validated against MASS_ATOL (pi by policy_row_sums) and
+    renormalized exactly once, here at construction, into new arrays; no
+    operation renormalizes silently.
     """
 
     d: np.ndarray
@@ -161,16 +165,13 @@ class SocialState:
                 f"pi must have shape ({n_u}, {width}), one entry per feasible bid, "
                 f"got {self.pi.shape}"
             )
-        # Written as `not ... <=` so that a NaN fails them too.
-        if not (0.0 <= self.d.min(initial=0.0) and 0.0 <= self.pi.min(initial=0.0)):
-            raise ParameterError("masses must be nonnegative and not NaN")
+        # Written as `not ... <=` so that a NaN fails it too.
+        if not 0.0 <= self.d.min(initial=0.0):
+            raise ParameterError("d masses must be nonnegative and not NaN")
         total = float(self.d.sum())
         if not abs(total - 1.0) <= MASS_ATOL:
             raise ParameterError(f"d must sum to 1 within {MASS_ATOL}, got {total!r}")
-        row_sums = np.add.reduceat(self.pi, bid_layout(nk - 1)[0], axis=1)
-        worst = float(np.abs(row_sums - 1.0).max())
-        if not worst <= MASS_ATOL:  # also rejects a NaN row sum
-            raise ParameterError(f"pi rows must sum to 1 within {MASS_ATOL} (worst {worst:.3e})")
+        row_sums = policy_row_sums(self.pi, nk - 1)
         self.d = self.d / total
         self.pi = self.pi / per_bid(row_sums)
 
@@ -192,7 +193,6 @@ class GameConfig:
     """Scalar parameters of the game and the population experiment."""
 
     alpha: float = 0.98
-    epsilon: float = 0.04
     k_bar: int = 10
     k_max: int = 40
     n_agents: int = 1000
@@ -201,10 +201,10 @@ class GameConfig:
     rng_seed: int = 20250809
 
     def __post_init__(self) -> None:
+        for name in ("k_bar", "k_max", "n_agents", "n_rounds", "burn_in", "rng_seed"):
+            require_int(name, getattr(self, name))
         if not 0.0 <= self.alpha < 1.0:
             raise ParameterError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.k_bar < 0:
             raise ParameterError(f"k_bar must be nonnegative, got {self.k_bar}")
         if self.k_max <= self.k_bar:
@@ -261,6 +261,23 @@ def packed_k_max(width: int, name: str) -> int:
         raise ParameterError(
             f"{name} must have (k_max+1)(k_max+2)/2 columns for some k_max >= 0, got {width}")
     return nk - 1
+
+
+def policy_row_sums(pi: np.ndarray, k_max: int) -> np.ndarray:
+    """Per-state sums (levels, k_max + 1) of the packed policy pi, or a
+    ParameterError naming the rule pi breaks: it must be finite and
+    nonnegative, and each state's bids must sum to 1 within MASS_ATOL."""
+    # NaN propagates into both reductions and infinities reach one.
+    lowest, highest = pi.min(initial=0.0), pi.max(initial=0.0)
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
+        raise ParameterError("policy entries must be finite, not NaN or infinite")
+    if lowest < 0:
+        raise ParameterError("policy entries must be nonnegative")
+    sums = np.add.reduceat(pi, bid_layout(k_max)[0], axis=1)
+    worst = float(np.abs(sums - 1.0).max(initial=0.0))
+    if worst > MASS_ATOL:
+        raise ParameterError(f"policy rows must sum to 1 within {MASS_ATOL} (worst {worst:.3e})")
+    return sums
 
 
 def bid_marginal(social: SocialState) -> np.ndarray:

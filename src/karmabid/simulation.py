@@ -30,7 +30,6 @@ so runs are reproducible bit for bit from (config, mechanism, seed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -39,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibrium import EquilibriumResult
-from .model import MASS_ATOL, GameConfig, ParameterError, UrgencyProcess, bid_layout, packed_k_max
+from .model import GameConfig, ParameterError, UrgencyProcess, bid_layout, packed_k_max, policy_row_sums
 
 # Buckets of a guide table. A power of two, so int(draw * _GUIDE_BUCKETS)
 # is the exact bucket of every draw in [0, 1).
@@ -59,12 +58,12 @@ class Mechanism:
 
     KARMA needs the bidding policy of a converged equilibrium, packed as
     SocialState.pi is, (levels, (k_max+1)(k_max+2)/2); the other kinds
-    carry no extra state here (TURN counters live on the population). The
-    policy is checked as SocialState checks pi: finite, nonnegative, rows
-    summing to 1 within MASS_ATOL. It is not renormalized. bid_cdf is
-    derived once from the policy: row u * (k_max + 1) + k holds the
-    cumulative bid probabilities of an agent at urgency u with balance k,
-    constant from bid k on; bid_guide is its guide table.
+    carry no extra state here (TURN counters live on the population). kind
+    may also be given by its value, such as "KARMA". The policy is checked
+    by policy_row_sums, as SocialState checks pi, but not renormalized.
+    bid_cdf is derived once from the policy: row u * (k_max + 1) + k holds
+    the cumulative bid probabilities of an agent at urgency u with balance
+    k, constant from bid k on; bid_guide is its guide table.
     """
 
     kind: MechanismKind
@@ -73,6 +72,10 @@ class Mechanism:
     bid_guide: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        try:
+            self.kind = MechanismKind(self.kind)
+        except ValueError:
+            raise ParameterError(f"kind must name a MechanismKind, got {self.kind!r}") from None
         if self.kind is MechanismKind.KARMA:
             if self.policy is None:
                 raise ParameterError("KARMA mechanism requires a bidding policy")
@@ -81,17 +84,8 @@ class Mechanism:
                 raise ParameterError(
                     f"policy must be (levels, (k_max+1)(k_max+2)/2), got {policy.shape}")
             nk = packed_k_max(policy.shape[1], "policy") + 1
-            # NaN propagates into both reductions and infinities reach one.
-            lowest, highest = policy.min(initial=0.0), policy.max(initial=0.0)
-            if not (math.isfinite(lowest) and math.isfinite(highest)):
-                raise ParameterError("policy entries must be finite")
-            if lowest < 0:
-                raise ParameterError("policy entries must be nonnegative")
-            starts, balance, bid = bid_layout(nk - 1)
-            worst = float(np.abs(np.add.reduceat(policy, starts, axis=1) - 1.0).max(initial=0.0))
-            if worst > MASS_ATOL:
-                raise ParameterError(
-                    f"policy rows must sum to 1 within {MASS_ATOL} (worst {worst:.3e})")
+            policy_row_sums(policy, nk - 1)
+            _starts, balance, bid = bid_layout(nk - 1)
             # Zeros above the balance keep each row's cumulative sums flat
             # from bid k on.
             square = np.zeros((policy.shape[0], nk, nk))
@@ -186,10 +180,9 @@ class MetricsReport:
     round_mean_rewards: np.ndarray
     urgency_marginal: np.ndarray
     karma_histograms: Optional[np.ndarray] = None
-    lp_bound: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "mechanism": self.mechanism,
             "seed": int(self.seed),
             "n_agents": int(self.n_agents),
@@ -200,19 +193,14 @@ class MetricsReport:
             "urgency_marginal": [float(x) for x in self.urgency_marginal],
             "per_agent_avg": [float(x) for x in self.per_agent_avg],
         }
-        if self.lp_bound is not None:
-            out["lp_bound"] = float(self.lp_bound)
-        return out
 
 
-def initialize_population(config: GameConfig, mechanism: Mechanism) -> Population:
+def initialize_population(config: GameConfig) -> Population:
     """Fresh population: everyone at the lowest urgency with exactly k_bar
     karma (total N * k_bar), counters zeroed, generator seeded."""
     n = config.n_agents
     if n % 2 != 0:
         raise ParameterError(f"n_agents must be even for pairwise matching, got {n}")
-    if mechanism.kind is MechanismKind.KARMA and mechanism.policy is None:
-        raise ParameterError("KARMA mechanism requires a bidding policy")
     return Population(
         u=np.zeros(n, dtype=np.int64),
         karma=np.full(n, config.k_bar, dtype=np.int64),
@@ -312,10 +300,9 @@ def _pick_winners(
         # denominator and comparing win counts gives the same decisions.
         wf, ws = pop.wins[first], pop.wins[second]
         return np.where(wf == ws, coin_first, wf < ws)
-    if mechanism.kind is MechanismKind.GREEDY_URGENCY:
-        uf, us = pop.u[first], pop.u[second]
-        return np.where(uf == us, coin_first, uf > us)
-    raise ParameterError(f"unknown mechanism kind {mechanism.kind!r}")
+    # GREEDY_URGENCY, the last kind
+    uf, us = pop.u[first], pop.u[second]
+    return np.where(uf == us, coin_first, uf > us)
 
 
 def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) -> np.ndarray:
@@ -378,7 +365,7 @@ def run_experiment(
     The burn-in rounds are excluded from every metric. Deterministic for
     identical (process, config, mechanism).
     """
-    pop = initialize_population(config, mechanism)
+    pop = initialize_population(config)
     for _ in range(config.burn_in):
         run_round(pop, process, mechanism)
 

@@ -1,5 +1,5 @@
 """Benchmark tests: the efficiency LP against vertex enumeration, the
-analytic stationary-chain values, and the coin / turn-taking choosers."""
+analytic stationary-chain values, and the simulator's turn-taking rule."""
 
 import numpy as np
 import pytest
@@ -10,17 +10,18 @@ from karmabid import (
     LpProblem,
     Mechanism,
     ParameterError,
-    TurnCounter,
+    Population,
     UrgencyProcess,
     build_max_eff_lp,
     build_urgency_process,
+    initialize_population,
     mixture_stationary_distribution,
-    random_choose,
     random_long_run_reward,
     run_experiment,
+    run_round,
     solve_lp,
-    turn_choose,
 )
+from karmabid.simulation import _pick_winners
 from oracles import power_iteration_oracle, vertex_enumeration_lp
 
 
@@ -108,47 +109,47 @@ class TestMixtureStationary:
         assert value < 0
 
 
-class TestRandomChoose:
-    def test_long_run_frequency(self):
-        rng = np.random.default_rng(77)
-        wins_first = sum(random_choose(rng) == (0, 1) for _ in range(1_000_000))
-        assert wins_first / 1_000_000 == pytest.approx(0.5, abs=0.002)
-
-    def test_deterministic_under_seed(self):
-        rng1 = np.random.default_rng(42)
-        rng2 = np.random.default_rng(42)
-        assert [random_choose(rng1) for _ in range(100)] == [random_choose(rng2) for _ in range(100)]
-
-
 class TestTurnChoose:
+    """The TURN rule as the simulator applies it, on one hand-built pair.
+
+    Everyone plays every round, so win counts order the agents as their
+    win fractions do; an agent with no wins yet counts as fraction zero.
+    """
+
+    @staticmethod
+    def first_wins(wins, coin: bool) -> bool:
+        pop = Population(
+            u=np.zeros(2, dtype=np.int64), karma=np.zeros(2, dtype=np.int64),
+            wins=np.asarray(wins, dtype=np.int64), reward_sums=np.zeros(2),
+            rng=np.random.default_rng(0),
+        )
+        first, second, coin_first = np.array([0]), np.array([1]), np.array([coin])
+        return bool(_pick_winners(pop, Mechanism.turn(), first, second, coin_first, None)[0])
+
     def test_lower_fraction_wins(self):
-        rng = np.random.default_rng(0)
-        a = TurnCounter(wins=2, interactions=10)
-        b = TurnCounter(wins=5, interactions=10)
-        assert turn_choose(a, b, rng) == 0
-        # counters updated after the decision
-        assert (a.wins, a.interactions) == (3, 11)
-        assert (b.wins, b.interactions) == (5, 11)
+        for coin in (True, False):
+            assert self.first_wins([2, 5], coin)
+            assert not self.first_wins([5, 2], coin)
 
     def test_fresh_agents_tie_by_coin(self):
-        results = {turn_choose(TurnCounter(), TurnCounter(), np.random.default_rng(seed))
-                   for seed in range(20)}
-        assert results == {0, 1}
+        assert self.first_wins([0, 0], True)
+        assert not self.first_wins([0, 0], False)
+        assert self.first_wins([3, 3], True)
+        assert not self.first_wins([3, 3], False)
 
     def test_zero_history_counts_as_zero_fraction(self):
-        rng = np.random.default_rng(0)
-        fresh = TurnCounter()
-        veteran = TurnCounter(wins=1, interactions=4)
-        assert turn_choose(fresh, veteran, rng) == 0
+        # A fresh agent beats a veteran whatever the coin says.
+        for coin in (True, False):
+            assert self.first_wins([0, 1], coin)
+            assert not self.first_wins([1, 0], coin)
 
-    def test_two_agents_alternate_to_half(self):
-        rng = np.random.default_rng(7)
-        a, b = TurnCounter(), TurnCounter()
-        for _ in range(10_000):
-            turn_choose(a, b, rng)
-        assert a.wins / a.interactions == pytest.approx(0.5, abs=0.01)
-        assert b.wins / b.interactions == pytest.approx(0.5, abs=0.01)
-
-    def test_counter_validation(self):
-        with pytest.raises(ParameterError):
-            TurnCounter(wins=3, interactions=2)
+    def test_two_agents_alternate_to_half(self, case_process):
+        config = GameConfig(n_agents=2, rng_seed=7)
+        pop = initialize_population(config)
+        rounds = 1000
+        for _ in range(rounds):
+            run_round(pop, case_process, Mechanism.turn())
+        # The counters are updated every round, so the two agents take
+        # turns and their win counts never differ by more than one.
+        assert int(pop.wins.sum()) == rounds
+        assert abs(int(pop.wins[0]) - int(pop.wins[1])) <= 1

@@ -96,6 +96,42 @@ class TestSolveCommand:
         assert code == 2
         assert "tol_policy must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, line, field", [
+        ("solve", "k_max = 40.0", "k_max"),
+        ("solve", "k_bar = 10.5", "k_bar"),
+        ("solve", "max_outer_iters = 5.5", "max_outer_iters"),
+        ("simulate", "n_rounds = 10.5", "n_rounds"),
+        ("simulate", "n_agents = 1000.0", "n_agents"),
+        ("simulate", "rng_seed = 1.5", "rng_seed"),
+        ("simulate", "burn_in = true", "burn_in"),
+        ("simulate", "k_bar = 10.5", "k_bar"),
+        ("lp", "levels = [1, 2.5, 4]", "levels[1]"),
+    ])
+    def test_rejects_non_integer_field_by_name(self, command, line, field, tmp_path, capsys):
+        # Before the check, some of these crashed deep in numpy and others
+        # ran on a silently truncated value.
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        extra = ["--mechanism", "random"] if command == "simulate" else []
+        code = main([command, *extra, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_rejects_epsilon_out_of_range_by_name(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("epsilon = 0.0\n")
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "lp"])
+    def test_format_only_where_it_is_read(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_missing_config_is_io_error(self, tmp_path):
         code = main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
         assert code == 4

@@ -16,6 +16,7 @@ from karmabid import (
     build_urgency_process,
     policy_evaluation,
     q_function,
+    setup_from_mapping,
     win_prob_all_bids,
 )
 from karmabid.equilibrium import TransitionOperator
@@ -382,8 +383,9 @@ class TestGameConfigValidation:
             GameConfig(alpha=1.2)
 
     def test_epsilon_bounds(self):
+        # epsilon lives on the urgency process, which the config builds.
         with pytest.raises(ParameterError, match="epsilon"):
-            GameConfig(epsilon=0.0)
+            setup_from_mapping({"epsilon": 0.0})
 
     def test_karma_headroom(self):
         with pytest.raises(ParameterError, match="k_max"):

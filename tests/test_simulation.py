@@ -44,7 +44,7 @@ def small_setup():
 
 class TestInitializePopulation:
     def test_case_study_totals(self, case_config):
-        pop = initialize_population(case_config, Mechanism.random())
+        pop = initialize_population(case_config)
         assert pop.total_karma() == 1000 * 10
         assert (pop.u == 0).all()
         assert (pop.wins == 0).all()
@@ -52,19 +52,19 @@ class TestInitializePopulation:
 
     def test_deterministic_under_seed(self, small_setup):
         _process, config = small_setup
-        a = initialize_population(config, Mechanism.random())
-        b = initialize_population(config, Mechanism.random())
+        a = initialize_population(config)
+        b = initialize_population(config)
         np.testing.assert_array_equal(a.karma, b.karma)
         np.testing.assert_array_equal(a.u, b.u)
 
     def test_odd_population_rejected(self):
         config = GameConfig(n_agents=999)
         with pytest.raises(ParameterError):
-            initialize_population(config, Mechanism.random())
+            initialize_population(config)
 
     def test_agent_state_arrays(self, small_setup):
         _process, config = small_setup
-        pop = initialize_population(config, Mechanism.random())
+        pop = initialize_population(config)
         assert (int(pop.u[0]), int(pop.karma[0])) == (0, 5)
         assert pop.u.dtype == pop.karma.dtype == np.int64
 
@@ -73,6 +73,13 @@ class TestMechanism:
     def test_karma_requires_policy(self):
         with pytest.raises(ParameterError):
             Mechanism(kind=MechanismKind.KARMA)
+
+    def test_kind_by_value(self):
+        mechanism = Mechanism(kind="KARMA", policy=uniform_policy(2, 4))
+        assert mechanism.kind is MechanismKind.KARMA
+        assert Mechanism(kind="TURN") == Mechanism.turn()
+        with pytest.raises(ParameterError, match="kind must name a MechanismKind"):
+            Mechanism(kind="karma")
 
     def test_karma_requires_converged_equilibrium(self, small_game):
         process, config = small_game
@@ -129,7 +136,7 @@ class TestRunRound:
         process, config = small_setup
         mechanism = Mechanism(kind=MechanismKind.KARMA,
                               policy=uniform_policy(process.n_levels, config.k_max))
-        pop = initialize_population(config, mechanism)
+        pop = initialize_population(config)
         total = config.n_agents * config.k_bar
         for _ in range(200):
             run_round(pop, process, mechanism)
@@ -138,7 +145,7 @@ class TestRunRound:
 
     def test_winner_reward_zero_loser_pays_urgency(self, small_setup):
         process, config = small_setup
-        pop = initialize_population(config, Mechanism.random())
+        pop = initialize_population(config)
         levels = np.asarray(process.levels, float)
         for _ in range(30):
             urgency_before = pop.u.copy()
@@ -156,7 +163,7 @@ class TestRunRound:
         # the greedy rule, matching a mechanism that always grants it
         process = build_urgency_process([1, 16], 1e-12)
         config = GameConfig(n_agents=2, k_bar=1, k_max=2, rng_seed=9)
-        pop = initialize_population(config, Mechanism.greedy_urgency())
+        pop = initialize_population(config)
         total = 0.0
         for _ in range(50):
             pop.u = np.array([1, 0])
@@ -171,7 +178,7 @@ class TestRunRound:
         config = GameConfig(n_agents=4000, k_bar=10, k_max=40, rng_seed=21)
         mechanism = Mechanism(kind=MechanismKind.KARMA,
                               policy=point_zero_policy(process.n_levels, config.k_max))
-        pop = initialize_population(config, mechanism)
+        pop = initialize_population(config)
         wins_before = pop.wins.copy()
         run_round(pop, process, mechanism)
         winner_mask = pop.wins > wins_before
@@ -184,7 +191,7 @@ class TestRunRound:
         process, config = small_setup
         mechanism = Mechanism(kind=MechanismKind.KARMA,
                               policy=uniform_policy(process.n_levels, config.k_max))
-        pop = initialize_population(config, mechanism)
+        pop = initialize_population(config)
         pop.karma[0] = config.k_max + 25  # balance far above the policy table
         total = pop.karma.sum()
         for _ in range(50):
@@ -412,7 +419,7 @@ def test_whole_run_pinned(case_process, kind):
 def test_urgency_tables_built_once_per_process(small_setup):
     process, config = small_setup
     mechanism = Mechanism.random()
-    pop = initialize_population(config, mechanism)
+    pop = initialize_population(config)
     run_round(pop, process, mechanism)
     tables = pop.urgency_tables
     run_round(pop, process, mechanism)
@@ -430,7 +437,7 @@ def test_karma_round_builds_no_per_agent_policy_rows(case_process):
     config = GameConfig(k_bar=10, k_max=k_max, n_agents=n, rng_seed=2)
     mechanism = Mechanism(kind=MechanismKind.KARMA,
                           policy=uniform_policy(case_process.n_levels, k_max))
-    pop = initialize_population(config, mechanism)
+    pop = initialize_population(config)
     run_round(pop, case_process, mechanism)
     tracemalloc.start()
     try:
@@ -490,7 +497,7 @@ class TestRunExperiment:
 
     def test_turn_equalizes_win_fractions(self, case_process, case_config):
         mechanism = Mechanism.turn()
-        pop = initialize_population(case_config, mechanism)
+        pop = initialize_population(case_config)
         for _ in range(case_config.burn_in + case_config.n_rounds):
             run_round(pop, case_process, mechanism)
         fractions = pop.wins / (case_config.burn_in + case_config.n_rounds)
