@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .baselines import build_max_eff_lp, solve_lp
-from .config import ARTIFACT_VERSION, RunManifest, RunSetup, load_config
+from .config import RunManifest, RunSetup, load_config
 from .equilibrium import (
     EquilibriumResult,
     solve_sne,
@@ -94,7 +94,7 @@ def cmd_solve(setup: RunSetup, out: Path) -> int:
     result = _solve_with_timing(setup, timings)
     outputs = _write_equilibrium_files(out, setup, result)
     manifest = RunManifest(
-        version=ARTIFACT_VERSION, command="solve", config=setup.raw,
+        command="solve", config=setup.raw,
         outputs=outputs, timings=timings,
     )
     manifest.write(out / "manifest.json")
@@ -132,7 +132,7 @@ def cmd_simulate(setup: RunSetup, mechanism_name: str, out: Path, fmt: str) -> i
     metrics_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     write_trace_csv(trace_path, report)
     manifest = RunManifest(
-        version=ARTIFACT_VERSION, command="simulate", config=setup.raw,
+        command="simulate", config=setup.raw,
         mechanisms=[kind.value],
         outputs={"metrics": str(metrics_path), "trace": str(trace_path)},
         timings=timings,
@@ -185,7 +185,7 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     outputs = _write_equilibrium_files(out, setup, result)
     outputs["comparison"] = str(comparison_path)
     manifest = RunManifest(
-        version=ARTIFACT_VERSION, command="compare", config=setup.raw,
+        command="compare", config=setup.raw,
         mechanisms=[m.kind.value for m in mechanisms] + ["MAX_EFF_LP"],
         outputs=outputs, timings=timings,
     )
@@ -216,7 +216,7 @@ def cmd_lp(setup: RunSetup, out: Path) -> int:
     lp_path = out / "lp.json"
     lp_path.write_text(json.dumps(doc, indent=2) + "\n")
     manifest = RunManifest(
-        version=ARTIFACT_VERSION, command="lp", config=setup.raw,
+        command="lp", config=setup.raw,
         outputs={"lp": str(lp_path)}, timings={"lp_seconds": elapsed},
     )
     manifest.write(out / "manifest.json")

@@ -3,9 +3,8 @@
 Config files are diff-friendly `key = value` lines with `#` comments;
 list values (urgency levels, transition-matrix overrides) use bracketed
 JSON-style literals. Every key is optional and defaults to the reference
-case study: five urgency levels {1, 2, 4, 8, 16}, epsilon 0.04,
-alpha 0.98, mean karma 10 truncated at 40, 1000 agents, 1000 measured
-rounds after a 100-round burn-in.
+case study (DEFAULTS): the urgency levels and epsilon are set here, every
+other key is a field of GameConfig or SolverConfig and takes its default.
 
 A RunManifest snapshots the effective configuration of a run; feeding a
 manifest back as the --config of a new run reproduces it exactly.
@@ -21,35 +20,20 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import SolverConfig
-from .model import GameConfig, ParameterError, UrgencyProcess, build_urgency_process
+from .model import (
+    GameConfig, ParameterError, UrgencyProcess, build_urgency_process, check_epsilon, check_number,
+)
 
 ARTIFACT_VERSION = "0.1.0"
 
+# Each config field's default is written once, in its dataclass.
 DEFAULTS: dict = {
     "levels": [1, 2, 4, 8, 16],
     "epsilon": 0.04,
-    "alpha": 0.98,
-    "k_bar": 10,
-    "k_max": 40,
-    "n_agents": 1000,
-    "n_rounds": 1000,
-    "burn_in": 100,
-    "rng_seed": 20250809,
-    "br_temperature": 2.0,
-    "temperature_decay": 0.97,
-    "temperature_floor": 1e-5,
-    "step_size": 0.2,
-    "tol_policy": 1e-4,
-    "tol_distribution": 1e-6,
-    "tol_value": 1e-9,
-    "max_outer_iters": 2000,
+    **dataclasses.asdict(GameConfig()),
+    **dataclasses.asdict(SolverConfig()),
 }
 
-_GAME_KEYS = ("alpha", "k_bar", "k_max", "n_agents", "n_rounds", "burn_in", "rng_seed")
-_SOLVER_KEYS = (
-    "br_temperature", "temperature_decay", "temperature_floor", "step_size",
-    "tol_policy", "tol_distribution", "tol_value", "max_outer_iters",
-)
 _OPTIONAL_KEYS = ("phi_win", "phi_lose")
 
 
@@ -64,14 +48,7 @@ class RunSetup:
     raw: dict
 
     def with_seed(self, seed: int) -> "RunSetup":
-        raw = dict(self.raw)
-        raw["rng_seed"] = int(seed)
-        return RunSetup(
-            process=self.process,
-            game=dataclasses.replace(self.game, rng_seed=int(seed)),
-            solver=self.solver,
-            raw=raw,
-        )
+        return setup_from_mapping({**self.raw, "rng_seed": int(seed)})
 
 
 def parse_config_text(text: str) -> dict:
@@ -114,16 +91,20 @@ def setup_from_mapping(overrides: dict) -> RunSetup:
     if has_win != has_lose:
         raise ParameterError("phi_win and phi_lose must be overridden together")
     if has_win:
-        phi = np.stack([
-            np.asarray(effective["phi_win"], dtype=float),
-            np.asarray(effective["phi_lose"], dtype=float),
-        ])
-        process = UrgencyProcess(levels=tuple(levels), phi=phi, epsilon=effective["epsilon"])
+        # epsilon builds no chain here, but a bad epsilon is still a bad config.
+        check_epsilon(effective["epsilon"])
+        # As objects, ragged rows or two shapes give fewer than three dimensions.
+        phi = np.array([effective["phi_win"], effective["phi_lose"]], dtype=object)
+        if phi.ndim != 3:
+            raise ParameterError("phi_win and phi_lose must be matrices of one shape")
+        for (outcome, *index), value in np.ndenumerate(phi):
+            check_number(f"{('phi_win', 'phi_lose')[outcome]}{index}", value)
+        process = UrgencyProcess(levels=tuple(levels), phi=phi.astype(float))
     else:
         process = build_urgency_process(levels, effective["epsilon"])
 
-    game = GameConfig(**{key: effective[key] for key in _GAME_KEYS})
-    solver = SolverConfig(**{key: effective[key] for key in _SOLVER_KEYS})
+    game = GameConfig(**{f.name: effective[f.name] for f in dataclasses.fields(GameConfig)})
+    solver = SolverConfig(**{f.name: effective[f.name] for f in dataclasses.fields(SolverConfig)})
     return RunSetup(process=process, game=game, solver=solver, raw=effective)
 
 
@@ -148,29 +129,18 @@ def load_config(path: str | Path | None) -> RunSetup:
 
 @dataclass
 class RunManifest:
-    """Self-contained record of one CLI run; JSON round-trips losslessly."""
+    """Self-contained record of one CLI run; JSON round-trips losslessly:
+    RunManifest(**json.loads(manifest.to_json())) == manifest."""
 
-    version: str
     command: str
     config: dict
+    version: str = ARTIFACT_VERSION
     mechanisms: list = field(default_factory=list)
     outputs: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        doc = json.loads(text)
-        return cls(
-            version=doc["version"],
-            command=doc["command"],
-            config=doc["config"],
-            mechanisms=list(doc.get("mechanisms", [])),
-            outputs=dict(doc.get("outputs", {})),
-            timings=dict(doc.get("timings", {})),
-        )
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")

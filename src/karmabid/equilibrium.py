@@ -55,10 +55,10 @@ from .model import (
     average_payment,
     bid_marginal,
     bid_layout,
+    check_fields,
     packed_k_max,
     per_bid,
     redistribution_split,
-    require_int,
     win_prob_all_bids,
 )
 
@@ -113,21 +113,15 @@ class SolverConfig:
     max_outer_iters: int = 2000
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not math.isfinite(value):  # NaN passes every comparison below
-                raise ParameterError(f"{field.name} must be finite, got {value}")
-        require_int("max_outer_iters", self.max_outer_iters)
-        for name in ("br_temperature", "temperature_decay", "temperature_floor",
-                     "step_size", "tol_policy", "tol_distribution", "tol_value"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+            if value <= 0:
+                raise ParameterError(f"{field.name} must be positive, got {value}")
         if self.step_size > 1.0:
             raise ParameterError(f"step_size must lie in (0, 1], got {self.step_size}")
         if self.temperature_decay > 1.0:
             raise ParameterError(f"temperature_decay must lie in (0, 1], got {self.temperature_decay}")
-        if self.max_outer_iters < 1:
-            raise ParameterError(f"max_outer_iters must be positive, got {self.max_outer_iters}")
 
 
 @dataclass
@@ -141,8 +135,6 @@ class ValueTables:
     matvecs: applications of P spent on V, the final residual check
        included.
     inner_iterations: GMRES (Arnoldi) steps spent on V.
-    Q: one-step deviation values per state and feasible bid, packed like
-       the policy; filled in by q_function.
     """
 
     V: np.ndarray
@@ -150,7 +142,6 @@ class ValueTables:
     transitions: TransitionOperator = dataclasses.field(repr=False)
     matvecs: int = 0
     inner_iterations: int = 0
-    Q: np.ndarray | None = None
 
 
 @dataclass
@@ -408,7 +399,6 @@ def policy_evaluation(
 def q_function(
     values: ValueTables,
     process: UrgencyProcess,
-    social: SocialState,
     config: GameConfig,
 ) -> np.ndarray:
     """One-step deviation values Q[u, k, b] for every feasible bid b <= k.
@@ -515,7 +505,7 @@ def solve_sne(
         matvecs += values.matvecs
         max_inner = max(max_inner, values.inner_iterations)
         t1 = perf_counter()
-        q = q_function(values, process, social, config)
+        q = q_function(values, process, config)
         expl = exploitability(q, social.pi)
         stage["solve_value_seconds"] += t1 - t0
         stage["solve_q_seconds"] += perf_counter() - t1
@@ -566,7 +556,7 @@ def solve_sne(
 
     return EquilibriumResult(
         social=social,
-        values=dataclasses.replace(values, Q=q),
+        values=values,
         residuals=np.asarray(trace),
         converged=converged,
         iterations=iterations,

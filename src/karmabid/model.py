@@ -17,8 +17,11 @@ built on top of these functions.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +39,30 @@ class ParameterError(ValueError):
     """A constructor or operation received an invalid parameter."""
 
 
-def require_int(name: str, value) -> int:
-    """value as an int, or a ParameterError naming the field if value is
-    not an integer (a bool, or a float with an integral value, is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+def check_number(name: str, value, integer: bool = False):
+    """value, or a ParameterError naming the field unless value is a finite
+    real number, not a bool, and for an integer field an int, not a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    # Also false for NaN, and for an int too large to convert to a float.
+    if not abs(value) <= sys.float_info.max:
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    if integer and not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return value
+
+
+def check_fields(obj) -> None:
+    """check_number on every field of the dataclass obj; one annotated int must hold an int."""
+    for field in dataclasses.fields(obj):
+        check_number(field.name, getattr(obj, field.name), field.type in ("int", int))
+
+
+def check_epsilon(epsilon) -> None:
+    """The urgency noise rule: epsilon must be a number in (0, 1)."""
+    check_number("epsilon", epsilon)
+    if not 0.0 < epsilon < 1.0:
+        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 @dataclass
@@ -53,24 +74,20 @@ class UrgencyProcess:
         phi: array of shape (2, n, n); phi[o][i][j] is the probability of
             moving from level i to level j given outcome o (0 = won the
             resource, 1 = yielded). Rows are stochastic.
-        epsilon: off-pattern noise mass used when the chain was built
-            from the standard reset/escalate pattern.
     """
 
     levels: tuple[int, ...]
     phi: np.ndarray
-    epsilon: float
 
     def __post_init__(self) -> None:
-        self.levels = tuple(require_int(f"levels[{i}]", v) for i, v in enumerate(self.levels))
+        self.levels = tuple(int(check_number(f"levels[{i}]", v, integer=True))
+                            for i, v in enumerate(self.levels))
         self.phi = np.asarray(self.phi, dtype=float)
         n = len(self.levels)
         if n < 1:
             raise ParameterError("levels must be non-empty")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ParameterError(f"levels must be strictly increasing, got {self.levels}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.phi.shape != (2, n, n):
             raise ParameterError(
                 f"phi must have shape (2, {n}, {n}), got {self.phi.shape}"
@@ -120,16 +137,17 @@ def build_urgency_process(levels, epsilon: float) -> UrgencyProcess:
         ParameterError: for fewer than two levels, non-integer or
             non-increasing levels, or epsilon outside (0, 1).
     """
+    check_epsilon(epsilon)
     n = len(levels)
     if n < 2:
         raise ParameterError("need at least two urgency levels to build the standard chain")
-    # UrgencyProcess checks the levels and epsilon before it reads phi.
+    # UrgencyProcess checks the levels before it reads phi.
     off = epsilon / (n - 1)
     phi = np.full((2, n, n), off)
     phi[WIN, :, 0] = 1.0 - epsilon
     for i in range(n):
         phi[LOSE, i, min(i + 1, n - 1)] = 1.0 - epsilon
-    return UrgencyProcess(levels=levels, phi=phi, epsilon=epsilon)
+    return UrgencyProcess(levels=levels, phi=phi)
 
 
 @dataclass
@@ -201,8 +219,7 @@ class GameConfig:
     rng_seed: int = 20250809
 
     def __post_init__(self) -> None:
-        for name in ("k_bar", "k_max", "n_agents", "n_rounds", "burn_in", "rng_seed"):
-            require_int(name, getattr(self, name))
+        check_fields(self)
         if not 0.0 <= self.alpha < 1.0:
             raise ParameterError(f"alpha must lie in [0, 1), got {self.alpha}")
         if self.k_bar < 0:

@@ -14,6 +14,8 @@ import numpy as np
 PIVOT_TOL = 1e-11
 # A phase-1 optimum above this is reported as infeasible.
 FEAS_TOL = 1e-9
+# Pivots allowed per phase before the tableau is declared numerically broken.
+MAX_PIVOTS = 10_000
 
 
 class LpError(RuntimeError):
@@ -36,14 +38,14 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_iterate(tableau: np.ndarray, basis: list[int], n_cols: int, max_pivots: int) -> None:
+def _bland_iterate(tableau: np.ndarray, basis: list[int], n_cols: int) -> None:
     """Pivot to optimality of the objective row (last row), Bland's rule.
 
     Entering: lowest-index column with reduced cost < -PIVOT_TOL.
     Leaving: minimum-ratio row, ties broken by lowest basis index.
     """
     m = tableau.shape[0] - 1
-    for _ in range(max_pivots):
+    for _ in range(MAX_PIVOTS):
         reduced = tableau[-1, :n_cols]
         candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
         if candidates.size == 0:
@@ -69,7 +71,7 @@ def _bland_iterate(tableau: np.ndarray, basis: list[int], n_cols: int, max_pivot
 
 
 def solve_standard_form(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, max_pivots: int = 10_000
+    c: np.ndarray, A: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Minimize c @ x subject to A x = b, x >= 0.
 
@@ -99,7 +101,7 @@ def solve_standard_form(
     tableau[-1, :n] = -A.sum(axis=0)
     tableau[-1, -1] = -b.sum()
     basis = list(range(n, n + m))
-    _bland_iterate(tableau, basis, n + m, max_pivots)
+    _bland_iterate(tableau, basis, n + m)
     if -tableau[-1, -1] > FEAS_TOL:
         raise LpInfeasibleError(
             f"phase-1 optimum {-tableau[-1, -1]:.3e} > {FEAS_TOL:.0e}; constraints are infeasible"
@@ -128,7 +130,7 @@ def solve_standard_form(
     phase2[-1, :n] = c
     for i in range(m2):
         phase2[-1] -= phase2[-1, basis[i]] * phase2[i]
-    _bland_iterate(phase2, basis, n, max_pivots)
+    _bland_iterate(phase2, basis, n)
 
     x = np.zeros(n)
     for i in range(m2):

@@ -26,7 +26,7 @@ from oracles import power_iteration_oracle, vertex_enumeration_lp
 
 
 def single_level_process(level: int) -> UrgencyProcess:
-    return UrgencyProcess(levels=(level,), phi=np.ones((2, 1, 1)), epsilon=0.5)
+    return UrgencyProcess(levels=(level,), phi=np.ones((2, 1, 1)))
 
 
 class TestBuildMaxEffLp:

@@ -3,9 +3,22 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from karmabid import RunManifest, load_config, solve_lp, build_max_eff_lp
+from karmabid import (
+    DEFAULTS, ParameterError, RunManifest, RunSetup, build_max_eff_lp, load_config,
+    setup_from_mapping, solve_lp,
+)
 from karmabid.cli import main
+
+# Any value a JSON config can hold. The second integer range reaches past
+# the largest float (about 2**1024), where float() overflows.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**1100, 2**1100)
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
 
 # A degenerate but fully converging game: one zero-valuation urgency
 # level and no karma in circulation. Solves in one iteration.
@@ -42,8 +55,6 @@ class TestConfigLoading:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("alpa = 0.9\n")
-        from karmabid import ParameterError
-
         with pytest.raises(ParameterError, match="alpa"):
             load_config(path)
 
@@ -60,8 +71,19 @@ class TestConfigLoading:
             mechanisms=["KARMA"], outputs={"comparison": "out/comparison.csv"},
             timings={"solve_seconds": 1.25},
         )
-        again = RunManifest.from_json(manifest.to_json())
+        again = RunManifest(**json.loads(manifest.to_json()))
         assert again == manifest
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.dictionaries(st.sampled_from([*DEFAULTS, "phi_win", "phi_lose"]), JSON_VALUES,
+                           max_size=3))
+    def test_any_json_value_is_accepted_or_a_parameter_error(self, overrides):
+        # Whatever a config file holds, the run either gets a setup or a
+        # ParameterError naming the field (exit 2), never another exception.
+        try:
+            assert isinstance(setup_from_mapping(overrides), RunSetup)
+        except ParameterError:
+            pass
 
 
 class TestSolveCommand:
@@ -76,7 +98,7 @@ class TestSolveCommand:
         for name in ("policy.csv", "distribution.csv", "residuals.csv",
                      "solve_summary.json", "manifest.json"):
             assert (out / name).exists()
-        manifest = RunManifest.from_json((out / "manifest.json").read_text())
+        manifest = RunManifest(**json.loads((out / "manifest.json").read_text()))
         assert manifest.command == "solve"
         assert manifest.config["k_bar"] == 0
 
@@ -124,6 +146,28 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, field", [
+        ("lp", 'alpha = "x"', "alpha"),
+        ("lp", 'tol_policy = "x"', "tol_policy"),
+        ("lp", 'epsilon = "x"', "epsilon"),
+        ("solve", "step_size = true", "step_size"),
+        ("simulate", "alpha = [0.9]", "alpha"),
+        ("lp", 'levels = [0]\nphi_win = "x"\nphi_lose = "y"', "phi_win"),
+        ("lp", "levels = [0]\nphi_win = [[1.0]]\nphi_lose = [[1.0], [2.0]]", "phi_lose"),
+        ("lp", "levels = [0]\nphi_win = [[true]]\nphi_lose = [[1.0]]", "phi_win[0, 0]"),
+        ("lp", "epsilon = 7\nlevels = [0]\nphi_win = [[1.0]]\nphi_lose = [[1.0]]", "epsilon"),
+    ])
+    def test_rejects_non_number_by_name(self, command, text, field, tmp_path, capsys):
+        # Before the typed check, the strings and the lists crashed with a
+        # traceback (exit 1), and both bools ran as 1.0.
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        extra = ["--mechanism", "random"] if command == "simulate" else []
+        code = main([command, *extra, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["solve", "lp"])
     def test_format_only_where_it_is_read(self, command, capsys):
@@ -205,7 +249,7 @@ class TestCompareCommand:
     def test_manifest_times_every_stage(self, tiny_config, tmp_path):
         out = tmp_path / "a"
         assert main(["compare", "--config", str(tiny_config), "--out", str(out)]) == 0
-        timings = RunManifest.from_json((out / "manifest.json").read_text()).timings
+        timings = RunManifest(**json.loads((out / "manifest.json").read_text())).timings
         stages = {"solve_value_seconds", "solve_q_seconds", "solve_best_response_seconds",
                   "solve_update_seconds"}
         assert set(timings) == stages | {
@@ -221,5 +265,5 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(tiny_config), "--out", str(out1)]) == 0
         assert main(["compare", "--config", str(tiny_config), "--out", str(out2),
                      "--seed", "123456"]) == 0
-        m2 = RunManifest.from_json((out2 / "manifest.json").read_text())
+        m2 = RunManifest(**json.loads((out2 / "manifest.json").read_text()))
         assert m2.config["rng_seed"] == 123456

@@ -43,7 +43,7 @@ from oracles import (
 
 
 def zero_level_process() -> UrgencyProcess:
-    return UrgencyProcess(levels=(0,), phi=np.ones((2, 1, 1)), epsilon=0.5)
+    return UrgencyProcess(levels=(0,), phi=np.ones((2, 1, 1)))
 
 
 def stress_q_table(rng: np.random.Generator, temperature: float) -> np.ndarray:
@@ -167,7 +167,7 @@ class TestQFunction:
         social = make_random_social(rng, case_process.n_levels, 8)
         config = GameConfig(alpha=0.0, k_bar=4, k_max=8)
         values = policy_evaluation(case_process, social, config)
-        q = unpack(q_function(values, case_process, social, config))
+        q = unpack(q_function(values, case_process, config))
         nu = bid_marginal(social)
         xi = -np.outer(case_process.level_values, 1.0 - win_prob_all_bids(nu))
         for k in range(9):
@@ -175,7 +175,7 @@ class TestQFunction:
 
     def test_infeasible_bids_absent(self, case_process, case_config, case_equilibrium):
         # The packed table has exactly one finite entry per feasible bid.
-        q = case_equilibrium.values.Q
+        q = q_function(case_equilibrium.values, case_process, case_config)
         nk = case_config.k_max + 1
         assert q.shape == (case_process.n_levels, nk * (nk + 1) // 2)
         assert np.isfinite(q).all()
@@ -184,7 +184,7 @@ class TestQFunction:
         rng = np.random.default_rng(3)
         social = make_random_social(rng, case_process.n_levels, case_config.k_max)
         values = policy_evaluation(case_process, social, case_config)
-        q = unpack(q_function(values, case_process, social, case_config))
+        q = unpack(q_function(values, case_process, case_config))
         spot = q_oracle(case_process, social, values.V, case_config.alpha, u=4, k=10)
         np.testing.assert_allclose(q[4, 10, :11], spot, atol=1e-9)
 
@@ -192,7 +192,7 @@ class TestQFunction:
         process, config = small_game
         social = make_random_social(np.random.default_rng(19), process.n_levels, config.k_max)
         values = policy_evaluation(process, social, config)
-        q = unpack(q_function(values, process, social, config), fill=np.nan)
+        q = unpack(q_function(values, process, config), fill=np.nan)
         for u in range(process.n_levels):
             for k in range(config.k_max + 1):
                 row = q_oracle(process, social, values.V, config.alpha, u=u, k=k)
@@ -321,7 +321,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize("name", [
         "br_temperature", "temperature_decay", "temperature_floor", "step_size",
         "tol_policy", "tol_distribution", "tol_value", "max_outer_iters"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    # 10**400 is an int too large for a float.
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
     def test_rejects_non_finite_field_by_name(self, name, value):
         with pytest.raises(ParameterError, match=f"{name} must be finite"):
             SolverConfig(**{name: value})
@@ -486,7 +487,7 @@ class TestSolveSne:
 
     def test_exploitability_helper_agrees_with_trace(self, case_process, case_config, case_equilibrium):
         values = policy_evaluation(case_process, case_equilibrium.social, case_config)
-        q = q_function(values, case_process, case_equilibrium.social, case_config)
+        q = q_function(values, case_process, case_config)
         again = exploitability(q, case_equilibrium.social.pi)
         assert again == pytest.approx(case_equilibrium.exploitability, abs=1e-12)
 

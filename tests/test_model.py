@@ -77,13 +77,13 @@ class TestBuildUrgencyProcess:
             build_urgency_process([1], 0.04)
 
     def test_direct_construction_single_level(self):
-        proc = UrgencyProcess(levels=(3,), phi=np.ones((2, 1, 1)), epsilon=0.5)
+        proc = UrgencyProcess(levels=(3,), phi=np.ones((2, 1, 1)))
         assert proc.n_levels == 1
 
     def test_rejects_non_stochastic_rows(self):
         phi = np.ones((2, 2, 2)) * 0.4
         with pytest.raises(ParameterError):
-            UrgencyProcess(levels=(1, 2), phi=phi, epsilon=0.1)
+            UrgencyProcess(levels=(1, 2), phi=phi)
 
     def test_accepts_256_levels(self):
         # Path counts of a fully mixing 256-level chain reach 256, which a
@@ -96,7 +96,7 @@ class TestBuildUrgencyProcess:
         n = 256
         phi = np.zeros((2, n, n))
         phi[:, np.arange(n), (np.arange(n) + 1) % n] = 1.0
-        assert UrgencyProcess(levels=tuple(range(n)), phi=phi, epsilon=0.1).n_levels == n
+        assert UrgencyProcess(levels=tuple(range(n)), phi=phi).n_levels == n
 
     def test_rejects_reducible_chain(self):
         # Escalation that saturates at the top under both outcomes: the top
@@ -105,7 +105,7 @@ class TestBuildUrgencyProcess:
         phi = np.zeros((2, n, n))
         phi[:, np.arange(n), np.minimum(np.arange(n) + 1, n - 1)] = 1.0
         with pytest.raises(ParameterError, match="irreducible"):
-            UrgencyProcess(levels=tuple(range(n)), phi=phi, epsilon=0.1)
+            UrgencyProcess(levels=tuple(range(n)), phi=phi)
 
 
 class TestOutcomeProbability:
@@ -296,7 +296,7 @@ class TestStateTransition:
         social = make_random_social(rng, case_process.n_levels, config.k_max)
         values = policy_evaluation(case_process, social, config)
         values = dataclasses.replace(values, V=rng.standard_normal(social.d.shape))
-        q = unpack(q_function(values, case_process, social, config))
+        q = unpack(q_function(values, case_process, config))
         lose = 1.0 - win_prob_all_bids(bid_marginal(social))
         for _ in range(8):
             u = int(rng.integers(case_process.n_levels))

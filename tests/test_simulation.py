@@ -510,7 +510,6 @@ class TestRunExperiment:
             levels=(0, 5),
             phi=np.array([[[1 - 1e-12, 1e-12], [1 - 1e-12, 1e-12]],
                           [[1 - 1e-12, 1e-12], [1 - 1e-12, 1e-12]]]),
-            epsilon=0.5,
         )
         config = GameConfig(n_agents=2, n_rounds=20, burn_in=2, k_bar=1, k_max=2, rng_seed=13)
         report = run_experiment(process, config, Mechanism.random())
