@@ -89,15 +89,15 @@ def _write_equilibrium_files(out: Path, setup: RunSetup, result: EquilibriumResu
     return {name: str(p) for name, p in paths.items()}
 
 
+def _write_manifest(out: Path, setup: RunSetup, command: str, **fields) -> None:
+    RunManifest(command=command, config=setup.raw, **fields).write(out / "manifest.json")
+
+
 def cmd_solve(setup: RunSetup, out: Path) -> int:
     timings: dict = {}
     result = _solve_with_timing(setup, timings)
     outputs = _write_equilibrium_files(out, setup, result)
-    manifest = RunManifest(
-        command="solve", config=setup.raw,
-        outputs=outputs, timings=timings,
-    )
-    manifest.write(out / "manifest.json")
+    _write_manifest(out, setup, "solve", outputs=outputs, timings=timings)
     print(json.dumps(result.summary(), indent=2))
     if not result.converged:
         print(
@@ -120,7 +120,7 @@ def cmd_simulate(setup: RunSetup, mechanism_name: str, out: Path, fmt: str) -> i
             return EXIT_NO_CONVERGENCE
         mechanism = Mechanism.karma(result)
     else:
-        mechanism = Mechanism(kind=kind)
+        mechanism = Mechanism(kind)
 
     start = time.perf_counter()
     report = run_experiment(setup.process, setup.game, mechanism)
@@ -131,13 +131,9 @@ def cmd_simulate(setup: RunSetup, mechanism_name: str, out: Path, fmt: str) -> i
     trace_path = out / f"trace_{kind.value.lower()}.csv"
     metrics_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     write_trace_csv(trace_path, report)
-    manifest = RunManifest(
-        command="simulate", config=setup.raw,
-        mechanisms=[kind.value],
-        outputs={"metrics": str(metrics_path), "trace": str(trace_path)},
-        timings=timings,
-    )
-    manifest.write(out / "manifest.json")
+    _write_manifest(out, setup, "simulate", mechanisms=[kind.value],
+                    outputs={"metrics": str(metrics_path), "trace": str(trace_path)},
+                    timings=timings)
 
     if fmt == "json":
         print(json.dumps({"mechanism": kind.value, "r_bar": report.r_bar, "beta": report.beta}, indent=2))
@@ -164,12 +160,7 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     lp_value, _psi = solve_lp(problem)
     timings["lp_seconds"] = time.perf_counter() - start
 
-    mechanisms = [
-        Mechanism.karma(result),
-        Mechanism.random(),
-        Mechanism.turn(),
-        Mechanism.greedy_urgency(),
-    ]
+    mechanisms = [Mechanism.karma(result), *map(Mechanism, ("RANDOM", "TURN", "GREEDY_URGENCY"))]
     rows = []
     for mechanism in mechanisms:
         start = time.perf_counter()
@@ -184,12 +175,9 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     comparison_path.write_text("\n".join(lines) + "\n")
     outputs = _write_equilibrium_files(out, setup, result)
     outputs["comparison"] = str(comparison_path)
-    manifest = RunManifest(
-        command="compare", config=setup.raw,
-        mechanisms=[m.kind.value for m in mechanisms] + ["MAX_EFF_LP"],
-        outputs=outputs, timings=timings,
-    )
-    manifest.write(out / "manifest.json")
+    _write_manifest(out, setup, "compare",
+                    mechanisms=[m.kind.value for m in mechanisms] + ["MAX_EFF_LP"],
+                    outputs=outputs, timings=timings)
 
     if fmt == "json":
         print(json.dumps(
@@ -215,11 +203,7 @@ def cmd_lp(setup: RunSetup, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     lp_path = out / "lp.json"
     lp_path.write_text(json.dumps(doc, indent=2) + "\n")
-    manifest = RunManifest(
-        command="lp", config=setup.raw,
-        outputs={"lp": str(lp_path)}, timings={"lp_seconds": elapsed},
-    )
-    manifest.write(out / "manifest.json")
+    _write_manifest(out, setup, "lp", outputs={"lp": str(lp_path)}, timings={"lp_seconds": elapsed})
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 

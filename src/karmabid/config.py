@@ -119,7 +119,10 @@ def load_config(path: str | Path | None) -> RunSetup:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"config is not valid JSON: {exc}") from None
         overrides = doc.get("config", doc)
         if not isinstance(overrides, dict):
             raise ParameterError("JSON config must be an object of key/value pairs")

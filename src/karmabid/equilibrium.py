@@ -223,13 +223,14 @@ class TransitionOperator:
 
     A move splits into a payment and a redistribution. A winner bidding b
     from balance k keeps j = k - b, a loser keeps j = k; then the urgency
-    moves by phi[outcome] and the balance moves from j to j + low or
-    j + high (fractions f_low, f_high), with overflow above k_max folded
-    into k_max, so every row of P sums to one. karma_win[u, k, j] is the
-    probability of winning and keeping j, gathered once from the packed
-    policy into a square table so that BLAS applies it; lose_weight[u, k]
-    is the probability of losing. Applying P or its push-forward costs
-    O(n_u k_max^2), against O(S^2) for the dense S x S kernel.
+    moves by phi[outcome] and the balance moves from j to landing[j] =
+    j + low with weight landing_weight[j] = f_low, or to landing[nk + j] =
+    j + high with f_high (apply and push share this table), with overflow
+    above k_max folded into k_max, so every row of P sums to one.
+    karma_win[u, k, j] is the probability of winning and keeping j, gathered
+    once from the packed policy into a square table so that BLAS applies
+    it; lose_weight[u, k] is the probability of losing. Applying P or its
+    push-forward costs O(n_u k_max^2), against O(S^2) for the dense kernel.
     """
 
     def __init__(self, process: UrgencyProcess, social: SocialState):
@@ -238,13 +239,10 @@ class TransitionOperator:
         nu = bid_marginal(social)
         self.gamma0 = win_prob_all_bids(nu)
         self.gamma1 = 1.0 - self.gamma0
-        low, high, self.f_low, self.f_high = redistribution_split(average_payment(social, nu))
+        low, high, f_low, f_high = redistribution_split(average_payment(social, nu))
         ks = np.arange(nk)
-        # Both redistribution branches in one table: balance j lands on
-        # landing[j] with weight f_low and on landing[nk + j] with f_high.
         self.landing = np.minimum(np.concatenate([ks + low, ks + high]), nk - 1)
-        self.landing_weight = np.repeat([self.f_low, self.f_high], nk)
-        self.lo, self.hi = self.landing[:nk], self.landing[nk:]
+        self.landing_weight = np.repeat([f_low, f_high], nk)
         starts, _, bid = bid_layout(nk - 1)
         complement, gather = _bid_tables(nk)
         self.karma_win = social.pi.take(gather, axis=1).reshape(n_u, nk, nk)
@@ -268,11 +266,11 @@ class TransitionOperator:
         """(d P)[v, m]: the distribution d, shaped (n_u, k_max+1), one step on."""
         n_u, nk = d.shape
         paid = (d[:, None, :] @ self.karma_win)[:, 0, :]
-        moved = (self.phi[0].T @ paid + self.phi[1].T @ (d * self.lose_weight)).ravel()
-        rows = np.arange(n_u)[:, None] * nk
-        landing = np.concatenate([(rows + self.lo).ravel(), (rows + self.hi).ravel()])
-        weights = np.concatenate([moved * self.f_low, moved * self.f_high])
-        return np.bincount(landing, weights, n_u * nk).reshape(n_u, nk)
+        moved = self.phi[0].T @ paid + self.phi[1].T @ (d * self.lose_weight)
+        # Row v scatters into row v only, each bin's terms in landing order.
+        landing = self.landing + np.arange(n_u)[:, None] * nk
+        weights = np.tile(moved, 2) * self.landing_weight
+        return np.bincount(landing.ravel(), weights.ravel(), n_u * nk).reshape(n_u, nk)
 
 
 @functools.lru_cache(maxsize=8)
@@ -355,7 +353,7 @@ def policy_evaluation(
     process: UrgencyProcess,
     social: SocialState,
     config: GameConfig,
-    solver: SolverConfig | None = None,
+    tol: float = SolverConfig.tol_value,
     initial: np.ndarray | None = None,
 ) -> ValueTables:
     """Evaluate the shared policy: immediate rewards, transitions, and values.
@@ -363,14 +361,13 @@ def policy_evaluation(
     V solves the discounted fixed-point equation (I - alpha P) V = R by
     restarted GMRES on the matrix-free transition operator, started from
     initial (values shaped like V; zeros if None) and stopped at 2-norm
-    residual tol_value; the result must then meet tol_value in sup norm.
+    residual tol; the result must then meet tol in sup norm.
 
     Raises:
         ParameterError: if initial is not shaped (n_levels, k_max + 1).
-        SolverError: if the value residual exceeds tol_value (carries the
+        SolverError: if the value residual exceeds tol (carries the
             residual).
     """
-    solver = solver if solver is not None else SolverConfig()
     shape = social.d.shape
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
@@ -384,12 +381,12 @@ def policy_evaluation(
         return flat - alpha * transitions.apply(flat.reshape(shape)).ravel()
 
     start = np.zeros(reward.size) if initial is None else initial.ravel()
-    flat, matvecs, steps = _gmres(apply_a, reward.ravel(), start, solver.tol_value)
+    flat, matvecs, steps = _gmres(apply_a, reward.ravel(), start, tol)
     values = flat.reshape(shape)
     residual = float(np.abs(values - (reward + alpha * transitions.apply(values))).max())
-    if not residual <= solver.tol_value:  # also rejects a NaN residual
+    if not residual <= tol:  # also rejects a NaN residual
         raise SolverError(
-            f"policy evaluation residual {residual:.3e} exceeds tol_value {solver.tol_value:.3e}",
+            f"policy evaluation residual {residual:.3e} exceeds tol_value {tol:.3e}",
             residual=residual,
         )
     return ValueTables(V=values, R=reward, transitions=transitions,
@@ -500,8 +497,7 @@ def solve_sne(
     def evaluate(tol: float, guess: np.ndarray | None) -> tuple[ValueTables, np.ndarray, float]:
         nonlocal matvecs, max_inner
         t0 = perf_counter()
-        inexact = solver if tol == solver.tol_value else dataclasses.replace(solver, tol_value=tol)
-        values = policy_evaluation(process, social, config, inexact, initial=guess)
+        values = policy_evaluation(process, social, config, tol, initial=guess)
         matvecs += values.matvecs
         max_inner = max(max_inner, values.inner_iterations)
         t1 = perf_counter()

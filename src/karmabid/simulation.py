@@ -57,10 +57,10 @@ class Mechanism:
     """Allocation rule driving the experiment.
 
     KARMA needs the bidding policy of a converged equilibrium, packed as
-    SocialState.pi is, (levels, (k_max+1)(k_max+2)/2); the other kinds
-    carry no extra state here (TURN counters live on the population). kind
-    may also be given by its value, such as "KARMA". The policy is checked
-    by policy_row_sums, as SocialState checks pi, but not renormalized.
+    SocialState.pi is, (levels, (k_max+1)(k_max+2)/2); Mechanism.karma
+    takes it from one. The other kinds carry no extra state (TURN counters
+    live on the population); build them by kind, such as Mechanism("TURN").
+    The policy is checked by policy_row_sums but not renormalized.
     bid_cdf is derived once from the policy: row u * (k_max + 1) + k holds
     the cumulative bid probabilities of an agent at urgency u with balance
     k, constant from bid k on; bid_guide is its guide table.
@@ -100,18 +100,6 @@ class Mechanism:
         if not equilibrium.converged:
             raise ParameterError("KARMA requires a converged equilibrium policy")
         return cls(kind=MechanismKind.KARMA, policy=equilibrium.social.pi)
-
-    @classmethod
-    def random(cls) -> "Mechanism":
-        return cls(kind=MechanismKind.RANDOM)
-
-    @classmethod
-    def turn(cls) -> "Mechanism":
-        return cls(kind=MechanismKind.TURN)
-
-    @classmethod
-    def greedy_urgency(cls) -> "Mechanism":
-        return cls(kind=MechanismKind.GREEDY_URGENCY)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,20 +277,19 @@ def _pick_winners(
     coin_first: np.ndarray,
     bids: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Per pair, True if the first agent wins."""
-    if mechanism.kind is MechanismKind.KARMA:
-        bf, bs = bids[first], bids[second]
-        return np.where(bf == bs, coin_first, bf > bs)
+    """Per pair, True if the first agent wins: higher priority wins, a tie takes coin_first."""
     if mechanism.kind is MechanismKind.RANDOM:
         return coin_first
-    if mechanism.kind is MechanismKind.TURN:
+    if mechanism.kind is MechanismKind.KARMA:
+        priority = bids
+    elif mechanism.kind is MechanismKind.GREEDY_URGENCY:
+        priority = pop.u
+    else:
         # Everyone plays every round, so all win fractions share one
         # denominator and comparing win counts gives the same decisions.
-        wf, ws = pop.wins[first], pop.wins[second]
-        return np.where(wf == ws, coin_first, wf < ws)
-    # GREEDY_URGENCY, the last kind
-    uf, us = pop.u[first], pop.u[second]
-    return np.where(uf == us, coin_first, uf > us)
+        priority = -pop.wins
+    pf, ps = priority[first], priority[second]
+    return np.where(pf == ps, coin_first, pf > ps)
 
 
 def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) -> np.ndarray:

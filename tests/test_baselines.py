@@ -1,5 +1,5 @@
 """Benchmark tests: the efficiency LP against vertex enumeration, the
-analytic stationary-chain values, and the simulator's turn-taking rule."""
+analytic stationary-chain values, and the simulator's winner rule."""
 
 import numpy as np
 import pytest
@@ -71,7 +71,7 @@ class TestSolveLp:
         # scaled-down population; the bound is scale-free
         config = GameConfig(n_agents=400, n_rounds=400, burn_in=100, rng_seed=5)
         value, _ = solve_lp(build_max_eff_lp(case_process))
-        for mechanism in (Mechanism.random(), Mechanism.turn(), Mechanism.greedy_urgency()):
+        for mechanism in (Mechanism("RANDOM"), Mechanism("TURN"), Mechanism("GREEDY_URGENCY")):
             report = run_experiment(case_process, config, mechanism)
             assert report.r_bar <= value + 0.02 * abs(value)
 
@@ -117,14 +117,17 @@ class TestTurnChoose:
     """
 
     @staticmethod
-    def first_wins(wins, coin: bool) -> bool:
+    def first_wins(wins, coin: bool, kind: str = "TURN", u=(0, 0), bids=None) -> bool:
         pop = Population(
-            u=np.zeros(2, dtype=np.int64), karma=np.zeros(2, dtype=np.int64),
+            u=np.asarray(u, dtype=np.int64), karma=np.zeros(2, dtype=np.int64),
             wins=np.asarray(wins, dtype=np.int64), reward_sums=np.zeros(2),
             rng=np.random.default_rng(0),
         )
+        # The winner rule reads only the kind, so any valid KARMA policy will do.
+        mechanism = Mechanism(kind, policy=np.ones((1, 1)) if kind == "KARMA" else None)
+        bids = None if bids is None else np.asarray(bids, dtype=np.int64)
         first, second, coin_first = np.array([0]), np.array([1]), np.array([coin])
-        return bool(_pick_winners(pop, Mechanism.turn(), first, second, coin_first, None)[0])
+        return bool(_pick_winners(pop, mechanism, first, second, coin_first, bids)[0])
 
     def test_lower_fraction_wins(self):
         for coin in (True, False):
@@ -148,8 +151,38 @@ class TestTurnChoose:
         pop = initialize_population(config)
         rounds = 1000
         for _ in range(rounds):
-            run_round(pop, case_process, Mechanism.turn())
+            run_round(pop, case_process, Mechanism("TURN"))
         # The counters are updated every round, so the two agents take
         # turns and their win counts never differ by more than one.
         assert int(pop.wins.sum()) == rounds
         assert abs(int(pop.wins[0]) - int(pop.wins[1])) <= 1
+
+
+class TestWinnerRule:
+    """The one winner rule under every kind, on TestTurnChoose's pair: each
+    kind ranks by its own priority (bid, urgency, fewest wins), the higher
+    priority wins whatever the coin and a tie takes the coin; RANDOM ranks
+    no one."""
+
+    first_wins = staticmethod(TestTurnChoose.first_wins)
+
+    def test_higher_bid_or_urgency_wins_whatever_the_coin(self):
+        # The second agent leads on the priorities of the other kinds, so
+        # only the kind's own priority can make the first one win.
+        for coin in (True, False):
+            assert self.first_wins([5, 0], coin, "KARMA", u=[0, 4], bids=[3, 1])
+            assert not self.first_wins([0, 5], coin, "KARMA", u=[4, 0], bids=[1, 3])
+            assert self.first_wins([5, 0], coin, "GREEDY_URGENCY", u=[2, 0], bids=[0, 4])
+            assert not self.first_wins([0, 5], coin, "GREEDY_URGENCY", u=[0, 2], bids=[4, 0])
+            assert self.first_wins([0, 5], coin, "TURN", u=[0, 4], bids=[0, 4])
+
+    def test_equal_priority_takes_the_coin(self):
+        for coin in (True, False):
+            assert self.first_wins([5, 0], coin, "KARMA", u=[0, 4], bids=[2, 2]) is coin
+            assert self.first_wins([5, 0], coin, "GREEDY_URGENCY", u=[1, 1], bids=[0, 4]) is coin
+            assert self.first_wins([4, 4], coin, "TURN", u=[0, 4], bids=[0, 4]) is coin
+
+    def test_random_always_takes_the_coin(self):
+        for coin in (True, False):
+            assert self.first_wins([0, 5], coin, "RANDOM", u=[3, 0], bids=[4, 0]) is coin
+            assert self.first_wins([5, 0], coin, "RANDOM", u=[0, 3], bids=[0, 4]) is coin

@@ -157,10 +157,12 @@ class TestSolveCommand:
         ("lp", "levels = [0]\nphi_win = [[1.0]]\nphi_lose = [[1.0], [2.0]]", "phi_lose"),
         ("lp", "levels = [0]\nphi_win = [[true]]\nphi_lose = [[1.0]]", "phi_win[0, 0]"),
         ("lp", "epsilon = 7\nlevels = [0]\nphi_win = [[1.0]]\nphi_lose = [[1.0]]", "epsilon"),
+        ("lp", '{"alpha": 0.9,}', "config is not valid JSON"),
     ])
     def test_rejects_non_number_by_name(self, command, text, field, tmp_path, capsys):
         # Before the typed check, the strings and the lists crashed with a
-        # traceback (exit 1), and both bools ran as 1.0.
+        # traceback (exit 1), and both bools ran as 1.0. Malformed JSON also
+        # crashed with a traceback.
         path = tmp_path / "bad.cfg"
         path.write_text(text + "\n")
         extra = ["--mechanism", "random"] if command == "simulate" else []

@@ -77,7 +77,7 @@ class TestMechanism:
     def test_kind_by_value(self):
         mechanism = Mechanism(kind="KARMA", policy=uniform_policy(2, 4))
         assert mechanism.kind is MechanismKind.KARMA
-        assert Mechanism(kind="TURN") == Mechanism.turn()
+        assert Mechanism(kind="TURN") == Mechanism(MechanismKind.TURN)
         with pytest.raises(ParameterError, match="kind must name a MechanismKind"):
             Mechanism(kind="karma")
 
@@ -150,7 +150,7 @@ class TestRunRound:
         for _ in range(30):
             urgency_before = pop.u.copy()
             wins_before = pop.wins.copy()
-            rewards = run_round(pop, process, Mechanism.random())
+            rewards = run_round(pop, process, Mechanism("RANDOM"))
             winner_mask = pop.wins > wins_before
             assert winner_mask.sum() == config.n_agents // 2
             assert (rewards[winner_mask] == 0).all()
@@ -167,7 +167,7 @@ class TestRunRound:
         total = 0.0
         for _ in range(50):
             pop.u = np.array([1, 0])
-            rewards = run_round(pop, process, Mechanism.greedy_urgency())
+            rewards = run_round(pop, process, Mechanism("GREEDY_URGENCY"))
             total += rewards[0]
             assert rewards[0] == 0.0
             assert rewards[1] == -1.0
@@ -418,7 +418,7 @@ def test_whole_run_pinned(case_process, kind):
 
 def test_urgency_tables_built_once_per_process(small_setup):
     process, config = small_setup
-    mechanism = Mechanism.random()
+    mechanism = Mechanism("RANDOM")
     pop = initialize_population(config)
     run_round(pop, process, mechanism)
     tables = pop.urgency_tables
@@ -451,7 +451,7 @@ def test_karma_round_builds_no_per_agent_policy_rows(case_process):
 class TestRunExperiment:
     def test_report_shapes_and_bounds(self, small_setup):
         process, config = small_setup
-        report = run_experiment(process, config, Mechanism.turn())
+        report = run_experiment(process, config, Mechanism("TURN"))
         assert report.per_agent_avg.shape == (config.n_agents,)
         assert report.round_mean_rewards.shape == (config.n_rounds,)
         assert report.beta <= 0
@@ -468,35 +468,35 @@ class TestRunExperiment:
 
     def test_seed_determinism(self, small_setup):
         process, config = small_setup
-        first = run_experiment(process, config, Mechanism.random())
-        second = run_experiment(process, config, Mechanism.random())
+        first = run_experiment(process, config, Mechanism("RANDOM"))
+        second = run_experiment(process, config, Mechanism("RANDOM"))
         assert first.r_bar == second.r_bar
         assert first.beta == second.beta
         np.testing.assert_array_equal(first.per_agent_avg, second.per_agent_avg)
 
     def test_different_seeds_differ(self, small_setup):
         process, config = small_setup
-        first = run_experiment(process, config, Mechanism.random())
+        first = run_experiment(process, config, Mechanism("RANDOM"))
         import dataclasses
 
-        second = run_experiment(process, dataclasses.replace(config, rng_seed=4), Mechanism.random())
+        second = run_experiment(process, dataclasses.replace(config, rng_seed=4), Mechanism("RANDOM"))
         assert first.r_bar != second.r_bar
 
     def test_random_matches_analytic_chain_value(self, case_process, case_config):
         from karmabid import random_long_run_reward
 
-        report = run_experiment(case_process, case_config, Mechanism.random())
+        report = run_experiment(case_process, case_config, Mechanism("RANDOM"))
         analytic = random_long_run_reward(case_process)
         assert report.r_bar == pytest.approx(analytic, rel=0.02)
 
     def test_random_urgency_marginal_near_stationary(self, case_process, case_config):
-        report = run_experiment(case_process, case_config, Mechanism.random())
+        report = run_experiment(case_process, case_config, Mechanism("RANDOM"))
         stationary = mixture_stationary_distribution(case_process)
         tv = 0.5 * np.abs(report.urgency_marginal - stationary).sum()
         assert tv <= 0.02
 
     def test_turn_equalizes_win_fractions(self, case_process, case_config):
-        mechanism = Mechanism.turn()
+        mechanism = Mechanism("TURN")
         pop = initialize_population(case_config)
         for _ in range(case_config.burn_in + case_config.n_rounds):
             run_round(pop, case_process, mechanism)
@@ -512,13 +512,13 @@ class TestRunExperiment:
                           [[1 - 1e-12, 1e-12], [1 - 1e-12, 1e-12]]]),
         )
         config = GameConfig(n_agents=2, n_rounds=20, burn_in=2, k_bar=1, k_max=2, rng_seed=13)
-        report = run_experiment(process, config, Mechanism.random())
+        report = run_experiment(process, config, Mechanism("RANDOM"))
         assert report.beta == 0.0
         assert report.r_bar == 0.0
 
     def test_report_serializes(self, small_setup):
         process, config = small_setup
-        report = run_experiment(process, config, Mechanism.random())
+        report = run_experiment(process, config, Mechanism("RANDOM"))
         doc = report.to_dict()
         assert doc["mechanism"] == "RANDOM"
         assert len(doc["per_agent_avg"]) == config.n_agents
@@ -535,7 +535,7 @@ class TestWriteTraceCsv:
         config = dataclasses.replace(config, n_agents=46)
         mechanism = (Mechanism(kind=MechanismKind.KARMA,
                                policy=uniform_policy(process.n_levels, config.k_max))
-                     if karma else Mechanism.turn())
+                     if karma else Mechanism("TURN"))
         report = run_experiment(process, config, mechanism)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, report)
