@@ -180,9 +180,8 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
                     outputs=outputs, timings=timings)
 
     if fmt == "json":
-        print(json.dumps(
-            [{"mechanism": name, "r_bar": r, "beta": b or None} for name, r, b in rows], indent=2,
-        ))
+        print(json.dumps([{"mechanism": name, "r_bar": float(r), "beta": float(b) if b else None}
+                          for name, r, b in rows], indent=2))
     else:
         print("\n".join(lines))
     return EXIT_OK

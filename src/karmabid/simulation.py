@@ -22,7 +22,9 @@ process, so a round builds no per-agent row table.
 A round never scatters through winner or loser index arrays: one boolean
 per agent records the outcome, and the urgency state
 u + n_levels * (1 - won) indexes both the reward table and the urgency
-transition table.
+transition table. Each stage frees what later ones do not read, so a
+round holds at most four N-length 8-byte arrays beside the population's:
+permutation, bid state, draws and bids, while KARMA draws its bids.
 
 All randomness flows through one seeded generator in a fixed draw order,
 so runs are reproducible bit for bit from (config, mechanism, seed).
@@ -90,7 +92,7 @@ class Mechanism:
             # from bid k on.
             square = np.zeros((policy.shape[0], nk, nk))
             square[:, balance, bid] = policy
-            self.bid_cdf = np.cumsum(square, axis=2).reshape(-1, nk)
+            self.bid_cdf = np.cumsum(square, axis=2, out=square).reshape(-1, nk)
             self.bid_guide = _guide_table(self.bid_cdf)
         elif self.policy is not None:
             raise ParameterError(f"{self.kind.value} does not take a policy")
@@ -253,20 +255,22 @@ def _sample_guided(
     cdf: np.ndarray, guide: np.ndarray, state: np.ndarray, draws: np.ndarray
 ) -> np.ndarray:
     """_sample_cdf(cdf, state, draws) for draws in [0, 1 + 1 / B), read
-    from the guide table of cdf.
+    from the guide table of cdf, as a new int64 array.
 
     Each draw costs one gather; only the draws whose guide entry is m
-    go through _sample_cdf.
+    go through _sample_cdf. state and draws are never written; beside the
+    result the call holds one uint16 bucket array, then the guide lookup.
     """
+    idx = np.multiply(state, _GUIDE_BUCKETS + 1, dtype=np.int64)
     # draw * B is exact and truncating it is the floor. A ufunc casting
-    # into an integer output is several times faster than astype.
-    idx = np.multiply(draws, _GUIDE_BUCKETS, out=np.empty(state.shape, np.int64), casting="unsafe")
-    idx += state * (_GUIDE_BUCKETS + 1)
-    out = np.take(guide.ravel(), idx).astype(np.int64)
-    cut = np.flatnonzero(out == cdf.shape[1])
+    # into an integer output is several times faster than astype; every
+    # bucket, B included, fits in uint16.
+    idx += np.multiply(draws, _GUIDE_BUCKETS, out=np.empty(state.shape, np.uint16), casting="unsafe")
+    idx[...] = np.take(guide.ravel(), idx)
+    cut = np.flatnonzero(idx == cdf.shape[1])
     if cut.size:
-        out[cut] = _sample_cdf(cdf, state[cut], draws[cut])
-    return out
+        idx[cut] = _sample_cdf(cdf, state[cut], draws[cut])
+    return idx
 
 
 def _pick_winners(
@@ -299,6 +303,10 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
     draws, redistribution picks, urgency draws. Payments and
     redistribution are integer-exact, so the karma total is conserved to
     the unit.
+
+    Each stage keeps only what the next one reads: the permutation until
+    the outcome mask exists, KARMA's bids until paid, and the old
+    urgencies until the urgency state holds them.
     """
     n = pop.n
     rng = pop.rng
@@ -312,8 +320,10 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
     bids: Optional[np.ndarray] = None
     if mechanism.kind is MechanismKind.KARMA:
         nk = mechanism.bid_cdf.shape[1]
-        state = pop.u * nk + np.minimum(pop.karma, nk - 1)
+        state = np.minimum(pop.karma, nk - 1)
+        state += pop.u * nk
         bids = _sample_guided(mechanism.bid_cdf, mechanism.bid_guide, state, rng.random(n))
+        del state
         # Balances above the policy truncation look like k_max to the
         # policy but the bid must never exceed the true balance.
         np.minimum(bids, pop.karma, out=bids)
@@ -322,23 +332,25 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
     won = np.empty(n, dtype=bool)
     won[first] = first_wins
     won[second] = ~first_wins
-
-    # urgency state outcome * n_levels + u, outcome 0 for winners
-    state = pop.u + process.n_levels * ~won
-    rewards = np.take(tables.reward, state)
+    del perm, first, second, coin_first, first_wins
 
     if mechanism.kind is MechanismKind.KARMA:
-        paid = bids * won
-        pop.karma -= paid
-        pool = int(paid.sum())
+        bids *= won
+        pop.karma -= bids
+        pool = int(bids.sum())
+        del bids
         share, extra = divmod(pool, n)
         pop.karma += share
         if extra:
-            lucky = rng.choice(n, size=extra, replace=False)
-            pop.karma[lucky] += 1
+            pop.karma[rng.choice(n, size=extra, replace=False)] += 1
 
     pop.wins += won
+    # urgency state outcome * n_levels + u, outcome 0 for winners
+    state = np.multiply(~won, process.n_levels, dtype=np.int64)
+    state += pop.u
+    pop.u = None  # the state carries the old urgencies into the draw
     pop.u = _sample_guided(tables.cdf, tables.guide, state, rng.random(n))
+    rewards = np.take(tables.reward, state)
 
     pop.reward_sums += rewards
     return rewards

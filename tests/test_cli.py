@@ -269,3 +269,18 @@ class TestCompareCommand:
                      "--seed", "123456"]) == 0
         m2 = RunManifest(**json.loads((out2 / "manifest.json").read_text()))
         assert m2.config["rng_seed"] == 123456
+
+    def test_json_prints_numbers_equal_to_the_csv(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert main(["compare", "--config", str(tiny_config), "--out", str(out),
+                     "--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[1:]]
+        assert [entry["mechanism"] for entry in printed] == [row[0] for row in rows]
+        for entry, (_name, r_bar, beta) in zip(printed, rows):
+            assert type(entry["r_bar"]) is float and entry["r_bar"] == float(r_bar)
+            if beta:
+                assert type(entry["beta"]) is float and entry["beta"] == float(beta)
+            else:
+                assert entry["beta"] is None
+        assert printed[-1]["mechanism"] == "MAX_EFF_LP" and printed[-1]["beta"] is None

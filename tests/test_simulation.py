@@ -353,6 +353,20 @@ class TestSampleGuided(TestSampleCdf):
         assert (guide[0, 1:256] == width - 1).all()
         self.check(rows, np.repeat([0, 1], 1000), rng.random(2000))
 
+    @pytest.mark.parametrize("width", [5, 41, 161])
+    def test_leaves_its_arguments_unchanged_and_returns_int64(self, width):
+        rng = np.random.default_rng(400 + width)
+        cdf = np.cumsum(random_rows(rng, 6, width), axis=1)
+        state = rng.integers(6, size=5000)
+        # cdf entries land in cut buckets, so the fallback runs too
+        draws = np.concatenate([rng.random(4000), cdf[state[4000:], rng.integers(width, size=1000)]])
+        state_before, draws_before = state.copy(), draws.copy()
+        got = _sample_guided(cdf, _guide_table(cdf), state, draws)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(state, state_before)
+        np.testing.assert_array_equal(draws, draws_before)
+        np.testing.assert_array_equal(got, _sample_cdf(cdf, state, draws))
+
     def test_guide_build_allocates_little_beyond_the_table(self):
         rng = np.random.default_rng(4)
         cdf = np.cumsum(random_rows(rng, 805, 161), axis=1)
@@ -446,6 +460,43 @@ def test_karma_round_builds_no_per_agent_policy_rows(case_process):
     finally:
         tracemalloc.stop()
     assert peak < n * (k_max + 1) * 8
+
+
+def traced_peak(action) -> int:
+    tracemalloc.start()
+    try:
+        action()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+# Bounds in N-length int64 arrays. Before the round freed each stage's
+# temporaries, KARMA peaked at 9.0 and the baselines at 6.3-6.4.
+ROUND_PEAK_ARRAYS = {"KARMA": 6.5, "RANDOM": 5.5, "TURN": 5.5, "GREEDY_URGENCY": 5.5}
+
+
+@pytest.mark.parametrize("kind", list(ROUND_PEAK_ARRAYS))
+def test_round_keeps_a_small_working_set(case_process, kind):
+    n = 20000
+    config = GameConfig(n_agents=n, rng_seed=5)
+    policy = uniform_policy(case_process.n_levels, config.k_max) if kind == "KARMA" else None
+    mechanism = Mechanism(kind, policy)
+    pop = initialize_population(config)
+    for _ in range(3):  # spread the balances and build the urgency tables
+        run_round(pop, case_process, mechanism)
+    peak = traced_peak(lambda: run_round(pop, case_process, mechanism))
+    assert peak < ROUND_PEAK_ARRAYS[kind] * n * 8
+
+
+def test_karma_mechanism_builds_the_bid_table_in_place(case_process):
+    k_max = 160
+    policy = uniform_policy(case_process.n_levels, k_max)
+    Mechanism("KARMA", policy)  # the packed layout is cached per k_max
+    peak = traced_peak(lambda: Mechanism("KARMA", policy))
+    # A second (levels, k_max + 1, k_max + 1) float table would reach 2.
+    assert peak < 1.5 * case_process.n_levels * (k_max + 1) ** 2 * 8
 
 
 class TestRunExperiment:
