@@ -15,6 +15,11 @@ landing indices. The values come from restarted GMRES, which solve_sne
 warm-starts by extrapolating the previous iterations' V and stops early
 while the policy is far from a best response (a forcing term, _FORCING).
 
+A karma space much wider than its equilibrium needs is solved by nested
+iteration (Briggs, Henson & McCormick 2000): solve_sne solves k_max = 4 k_bar
+first and, under 1e-6 mass at its k_max, embeds that (no mass above, higher
+balances bid as its top one, V flat) and refines it from temperature_floor.
+
 Layout conventions: private states are (urgency index u, karma k) with
 karma truncated to {0, ..., k_max}; flat state index is u * (k_max+1) + k.
 Value arrays are (n_levels, k_max+1). The policy, Q and best-response
@@ -83,6 +88,10 @@ _FORCING = 1e-3
 # States with less equilibrium mass than this do not enter the
 # equilibrium fingerprint: their best bid is not pinned down.
 _FINGERPRINT_MASS = 1e-6
+
+# solve_sne's coarse stage: k_max = _COARSE_FACTOR * k_bar, used under _TRUNCATION_MASS at its k_max.
+_COARSE_FACTOR = 4
+_TRUNCATION_MASS = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -157,6 +166,8 @@ class EquilibriumResult:
     equilibrium_fingerprint names the selected equilibrium: the sha256 of
     the int64 most likely bid of every state holding mass above 1e-6, in
     state order.
+    coarse_k_max and coarse_iterations describe solve_sne's coarse stage
+    (None and 0 without one); summary() adds mass_at_k_max, d at k_max.
     timings holds the wall seconds spent in each stage of the iterations:
     solve_value_seconds (policy evaluation), solve_q_seconds (Q table and
     exploitability), solve_best_response_seconds and solve_update_seconds
@@ -172,6 +183,8 @@ class EquilibriumResult:
     value_matvecs: int = 0
     max_inner_iterations: int = 0
     timings: dict[str, float] = dataclasses.field(default_factory=dict)
+    coarse_k_max: int | None = None
+    coarse_iterations: int = 0
 
     @property
     def exploitability(self) -> float:
@@ -204,6 +217,9 @@ class EquilibriumResult:
             "equilibrium_fingerprint": self.equilibrium_fingerprint,
             "value_matvecs": int(self.value_matvecs),
             "max_inner_iterations": int(self.max_inner_iterations),
+            "coarse_k_max": self.coarse_k_max,
+            "coarse_iterations": int(self.coarse_iterations),
+            "mass_at_k_max": _mass_at_k_max(self.social.d),
         }
 
 
@@ -478,16 +494,57 @@ def solve_sne(
     Q and the exploitability, so converged=True and the returned values
     always rest on a solve to tol_value.
 
+    When k_bar >= 1 and k_max > 4 k_bar, a coarse stage (module docstring)
+    runs first; unless it converged under 1e-6 mass at its k_max, the full
+    space is annealed alone. Each stage runs at most max_outer_iters; counts,
+    residuals (coarse rows first) and timings cover both.
+
     Non-convergence is reported through converged=False on the result,
     never as an exception.
     """
     solver = solver if solver is not None else SolverConfig()
-    social = initial_social_state(process, config)
-    temperature = solver.br_temperature
+    coarse_k_max = _COARSE_FACTOR * config.k_bar
+    if config.k_bar >= 1 and config.k_max > coarse_k_max:
+        coarse = _anneal(process, dataclasses.replace(config, k_max=coarse_k_max), solver)
+        if coarse.converged and _mass_at_k_max(coarse.social.d) < _TRUNCATION_MASS:
+            guess, coarse.values = coarse.values.V, None  # its operator raised the peak RSS
+            pad = ((0, 0), (0, config.k_max - coarse_k_max))
+            fine = _anneal(process, config, solver, _embed(coarse.social, config.k_max),
+                           solver.temperature_floor, np.pad(guess, pad, "edge"))
+            fine.residuals = np.concatenate([coarse.residuals, fine.residuals])
+            fine.iterations += coarse.iterations
+            fine.value_matvecs += coarse.value_matvecs
+            fine.max_inner_iterations = max(fine.max_inner_iterations, coarse.max_inner_iterations)
+            fine.timings = {name: t + coarse.timings[name] for name, t in fine.timings.items()}
+            fine.coarse_k_max, fine.coarse_iterations = coarse_k_max, coarse.iterations
+            return fine
+    return _anneal(process, config, solver)
+
+
+def _mass_at_k_max(d: np.ndarray) -> float:
+    """Mass of d at the top balance, where the truncated dynamics fold overflow."""
+    return float(d[:, -1].sum())
+
+
+def _embed(coarse: SocialState, k_max: int) -> SocialState:
+    """coarse on {0, ..., k_max}: no mass above its k_max, where it bids as at its k_max."""
+    top, starts = coarse.k_max, bid_layout(k_max)[0]
+    pi = np.zeros((coarse.pi.shape[0], starts[-1] + k_max + 1))
+    pi[:, :coarse.pi.shape[1]] = coarse.pi  # the layout orders by balance
+    above = (starts[top + 1:, None] + np.arange(top + 1)).ravel()
+    pi[:, above] = np.tile(coarse.pi[:, starts[top]:], k_max - top)
+    return SocialState(d=np.pad(coarse.d, ((0, 0), (0, k_max - top))), pi=pi)
+
+
+def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
+            social: SocialState | None = None, temperature: float | None = None,
+            start: np.ndarray | None = None) -> EquilibriumResult:
+    """solve_sne's loop from social, temperature and first value guess start (None: as solve_sne)."""
+    social = social if social is not None else initial_social_state(process, config)
+    temperature = temperature if temperature is not None else solver.br_temperature
     step = solver.step_size
     trace: list[tuple[float, float]] = []
     converged = False
-    start: np.ndarray | None = None
     history: list[np.ndarray] = []  # the latest values first
     iterations = matvecs = max_inner = 0
     tolerance = solver.tol_value
@@ -516,7 +573,10 @@ def solve_sne(
         last = iterations == solver.max_outer_iters
         if tolerance > solver.tol_value and (last or expl <= solver.tol_policy
                                              and resid <= solver.tol_distribution):
-            values, q, expl = evaluate(solver.tol_value, values.V)
+            # Free the loose solve's operator and Q before the re-solve's.
+            start = values.V
+            del values, q
+            values, q, expl = evaluate(solver.tol_value, start)
         trace.append((resid, expl))
         if expl <= solver.tol_policy and resid <= solver.tol_distribution:
             converged = True

@@ -94,7 +94,8 @@ class TestSolveCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["converged"] is True
         assert summary["iterations"] <= 2
-        assert {"predicted_r_bar", "equilibrium_fingerprint"} <= summary.keys()
+        assert {"predicted_r_bar", "equilibrium_fingerprint", "coarse_k_max", "coarse_iterations",
+                "mass_at_k_max"} <= summary.keys()
         for name in ("policy.csv", "distribution.csv", "residuals.csv",
                      "solve_summary.json", "manifest.json"):
             assert (out / name).exists()
