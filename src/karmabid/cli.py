@@ -1,8 +1,8 @@
 """Command-line front end: solve, simulate, compare, lp.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 solver
-non-convergence (or LP failure), 4 I/O error. All numeric output is
-written at full precision.
+non-convergence, a value solve that misses tol_value, or LP failure,
+4 I/O error. All numeric output is written at full precision.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .baselines import build_max_eff_lp, solve_lp
 from .config import RunManifest, RunSetup, load_config
 from .equilibrium import (
     EquilibriumResult,
+    SolverError,
     solve_sne,
     write_distribution_csv,
     write_policy_csv,
@@ -74,6 +75,16 @@ def _solve_with_timing(setup: RunSetup, timings: dict) -> EquilibriumResult:
     return result
 
 
+def _no_convergence(setup: RunSetup, result: EquilibriumResult) -> int:
+    print(
+        f"equilibrium solve did not converge (max_outer_iters={setup.solver.max_outer_iters}): "
+        f"exploitability={result.exploitability!r} "
+        f"stationarity_residual={result.stationarity_residual!r}",
+        file=sys.stderr,
+    )
+    return EXIT_NO_CONVERGENCE
+
+
 def _write_equilibrium_files(out: Path, setup: RunSetup, result: EquilibriumResult) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -100,13 +111,7 @@ def cmd_solve(setup: RunSetup, out: Path) -> int:
     _write_manifest(out, setup, "solve", outputs=outputs, timings=timings)
     print(json.dumps(result.summary(), indent=2))
     if not result.converged:
-        print(
-            f"solver did not converge within {setup.solver.max_outer_iters} iterations: "
-            f"exploitability={result.exploitability!r} "
-            f"stationarity_residual={result.stationarity_residual!r}",
-            file=sys.stderr,
-        )
-        return EXIT_NO_CONVERGENCE
+        return _no_convergence(setup, result)
     return EXIT_OK
 
 
@@ -116,8 +121,7 @@ def cmd_simulate(setup: RunSetup, mechanism_name: str, out: Path, fmt: str) -> i
     if kind is MechanismKind.KARMA:
         result = _solve_with_timing(setup, timings)
         if not result.converged:
-            print("equilibrium solve did not converge; cannot simulate KARMA", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+            return _no_convergence(setup, result)
         mechanism = Mechanism.karma(result)
     else:
         mechanism = Mechanism(kind)
@@ -147,13 +151,7 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     timings: dict = {}
     result = _solve_with_timing(setup, timings)
     if not result.converged:
-        print(
-            f"equilibrium solve did not converge "
-            f"(exploitability={result.exploitability!r}, "
-            f"stationarity_residual={result.stationarity_residual!r}); compare aborted",
-            file=sys.stderr,
-        )
-        return EXIT_NO_CONVERGENCE
+        return _no_convergence(setup, result)
 
     problem = build_max_eff_lp(setup.process)
     start = time.perf_counter()
@@ -226,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except LpError as exc:
         print(f"LP solver error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except SolverError as exc:
+        print(f"equilibrium solver error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

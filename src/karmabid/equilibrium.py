@@ -17,8 +17,8 @@ while the policy is far from a best response (a forcing term, _FORCING).
 
 A karma space much wider than its equilibrium needs is solved by nested
 iteration (Briggs, Henson & McCormick 2000): solve_sne solves k_max = 4 k_bar
-first and, under 1e-6 mass at its k_max, embeds that (no mass above, higher
-balances bid as its top one, V flat) and refines it from temperature_floor.
+first and, once that converged, embeds it (no mass above, higher balances
+bid as its top one, V flat) and refines it from temperature_floor.
 
 Layout conventions: private states are (urgency index u, karma k) with
 karma truncated to {0, ..., k_max}; flat state index is u * (k_max+1) + k.
@@ -28,13 +28,13 @@ tables hold only the feasible bids b <= k, packed: shape
 of balance k start at column k (k + 1) / 2 (model.bid_layout). Per-state
 maxima and sums are np.maximum.reduceat and np.add.reduceat at those
 starts. Only the transition operator and the simulator's bid sampler
-expand the policy into square (k_max+1, k_max+1) tables.
+expand the policy into square (k_max+1, k_max+1) tables, each by one
+scatter through that layout.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,9 +89,8 @@ _FORCING = 1e-3
 # equilibrium fingerprint: their best bid is not pinned down.
 _FINGERPRINT_MASS = 1e-6
 
-# solve_sne's coarse stage: k_max = _COARSE_FACTOR * k_bar, used under _TRUNCATION_MASS at its k_max.
+# solve_sne's coarse stage: k_max = _COARSE_FACTOR * k_bar.
 _COARSE_FACTOR = 4
-_TRUNCATION_MASS = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -243,10 +242,11 @@ class TransitionOperator:
     j + low with weight landing_weight[j] = f_low, or to landing[nk + j] =
     j + high with f_high (apply and push share this table), with overflow
     above k_max folded into k_max, so every row of P sums to one.
-    karma_win[u, k, j] is the probability of winning and keeping j, gathered
-    once from the packed policy into a square table so that BLAS applies
-    it; lose_weight[u, k] is the probability of losing. Applying P or its
-    push-forward costs O(n_u k_max^2), against O(S^2) for the dense kernel.
+    karma_win[u, k, j] is the probability of winning and keeping j, zero
+    for j > k: one scatter of the packed policy through model.bid_layout
+    into a square table, so that BLAS applies it; lose_weight[u, k] is the
+    probability of losing. Applying P or its push-forward costs
+    O(n_u k_max^2), against O(S^2) for the dense kernel.
     """
 
     def __init__(self, process: UrgencyProcess, social: SocialState):
@@ -259,10 +259,9 @@ class TransitionOperator:
         ks = np.arange(nk)
         self.landing = np.minimum(np.concatenate([ks + low, ks + high]), nk - 1)
         self.landing_weight = np.repeat([f_low, f_high], nk)
-        starts, _, bid = bid_layout(nk - 1)
-        complement, gather = _bid_tables(nk)
-        self.karma_win = social.pi.take(gather, axis=1).reshape(n_u, nk, nk)
-        self.karma_win *= np.append(self.gamma0, 0.0)[complement]
+        starts, balance, bid = bid_layout(nk - 1)
+        self.karma_win = np.zeros((n_u, nk, nk))
+        self.karma_win[:, balance, balance - bid] = social.pi * self.gamma0[bid]
         self.lose_weight = np.add.reduceat(social.pi * self.gamma1[bid], starts, axis=1)
 
     def continuation(self, values: np.ndarray) -> np.ndarray:
@@ -287,24 +286,6 @@ class TransitionOperator:
         landing = self.landing + np.arange(n_u)[:, None] * nk
         weights = np.tile(moved, 2) * self.landing_weight
         return np.bincount(landing.ravel(), weights.ravel(), n_u * nk).reshape(n_u, nk)
-
-
-@functools.lru_cache(maxsize=8)
-def _bid_tables(nk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index tables that expand a packed policy into karma_win.
-
-    complement[k, j] = k - j is the bid that leaves balance j from balance
-    k, or nk where j > k and no bid does, which indexes a zero appended
-    to gamma0. gather[k * nk + j] is the packed column of (k, k - j), or
-    of (k, 0) where j > k, whose gathered value that zero weight clears.
-    """
-    starts = bid_layout(nk - 1)[0]
-    ks = np.arange(nk)
-    complement = np.where(ks[None, :] <= ks[:, None], ks[:, None] - ks[None, :], nk)
-    gather = (starts[:, None] + complement % nk).ravel()
-    for table in (complement, gather):
-        table.flags.writeable = False
-    return complement, gather
 
 
 def _gmres(apply_a, rhs: np.ndarray, x0: np.ndarray, tol: float) -> tuple[np.ndarray, int, int]:
@@ -495,9 +476,12 @@ def solve_sne(
     always rest on a solve to tol_value.
 
     When k_bar >= 1 and k_max > 4 k_bar, a coarse stage (module docstring)
-    runs first; unless it converged under 1e-6 mass at its k_max, the full
-    space is annealed alone. Each stage runs at most max_outer_iters; counts,
-    residuals (coarse rows first) and timings cover both.
+    runs first, and the full space is refined from its equilibrium, even
+    one holding mass at its k_max. A coarse stage that did not converge is
+    dropped and the full space annealed alone: at k_bar = 1, k_max = 8,
+    refining it selects another equilibrium than the direct solve. Each
+    stage runs at most max_outer_iters; counts, residuals (coarse rows
+    first) and timings cover both stages of a refined solve.
 
     Non-convergence is reported through converged=False on the result,
     never as an exception.
@@ -506,7 +490,7 @@ def solve_sne(
     coarse_k_max = _COARSE_FACTOR * config.k_bar
     if config.k_bar >= 1 and config.k_max > coarse_k_max:
         coarse = _anneal(process, dataclasses.replace(config, k_max=coarse_k_max), solver)
-        if coarse.converged and _mass_at_k_max(coarse.social.d) < _TRUNCATION_MASS:
+        if coarse.converged:
             guess, coarse.values = coarse.values.V, None  # its operator raised the peak RSS
             pad = ((0, 0), (0, config.k_max - coarse_k_max))
             fine = _anneal(process, config, solver, _embed(coarse.social, config.k_max),

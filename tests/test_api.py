@@ -1,5 +1,8 @@
 """The public API: growing or shrinking it takes an edit here."""
 
+import re
+from pathlib import Path
+
 import karmabid
 
 PUBLIC_NAMES = [
@@ -23,3 +26,17 @@ def test_exported_names_are_pinned():
 def test_every_exported_name_resolves():
     for name in karmabid.__all__:
         assert getattr(karmabid, name) is not None, name
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's Python block is the documented use of the public API.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    result, report, bound = namespace["result"], namespace["report"], namespace["bound"]
+    assert result.converged and result.iterations == 456  # as its comment says
+    assert report.r_bar <= bound
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == f"{report.r_bar} {report.beta} {bound}"

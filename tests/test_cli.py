@@ -192,6 +192,18 @@ class TestSolveCommand:
         assert "exploitability" in capsys.readouterr().err
         assert (tmp_path / "o" / "residuals.csv").exists()
 
+    @pytest.mark.parametrize("command", [["solve"], ["simulate", "--mechanism", "karma"], ["compare"]])
+    def test_failed_value_solve_exits_3_with_one_line(self, command, tmp_path, capsys):
+        # No value solve reaches a residual of 1e-30 in floating point.
+        path = tmp_path / "strict.cfg"
+        path.write_text("levels = [1, 16]\nk_bar = 2\nk_max = 6\ntol_value = 1e-30\n")
+        code = main([*command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "residual" in err and "tol_value" in err
+        assert "Traceback" not in err
+
 
 class TestLpCommand:
     def test_single_level_value(self, tmp_path, capsys):

@@ -557,13 +557,23 @@ class TestCoarseStage:
             assert (summary["coarse_k_max"], summary["coarse_iterations"]) == (None, 0)
         assert case_equilibrium.summary()["mass_at_k_max"] == pytest.approx(3.38e-13, rel=1e-2)
 
-    def test_truncated_coarse_equilibrium_falls_back(self, case_process):
-        # The coarse equilibrium at k_max = 12 holds 7.3e-6 at 12, above the
-        # truncation threshold, so the full space is annealed from the start.
+    def test_truncated_coarse_equilibrium_is_refined(self, case_process):
+        # The coarse equilibrium at k_max = 12 holds 7.3e-6 at 12. Refined, it
+        # takes 24 fine iterations to the equilibrium that the direct solve
+        # reaches in 819.
         result = solve_sne(case_process, GameConfig(k_bar=3, k_max=30))
         assert result.converged
-        assert (result.coarse_k_max, result.coarse_iterations, result.iterations) == (None, 0, 819)
+        assert (result.coarse_k_max, result.coarse_iterations, result.iterations) == (12, 820, 844)
         assert result.equilibrium_fingerprint.startswith("dad8e872")
+
+    def test_unconverged_coarse_stage_falls_back(self, case_process):
+        # The coarse stage at k_max = 4 runs all 2000 iterations. Refining
+        # its last state would select 24c4aac1 (predicted r_bar -1.330); the
+        # full space annealed from the start selects adaef604 (-1.287).
+        result = solve_sne(case_process, GameConfig(k_bar=1, k_max=8))
+        assert result.converged
+        assert (result.coarse_k_max, result.coarse_iterations, result.iterations) == (None, 0, 543)
+        assert result.equilibrium_fingerprint.startswith("adaef604")
 
 
 class TestWritePolicyCsv:
