@@ -6,90 +6,42 @@ winning resets it, losing escalates it. The package computes the
 stationary equilibrium of the mean-field bidding game, simulates a
 finite population playing it, and benchmarks efficiency and fairness
 against coin-flip, turn-taking, and a linear-programming upper bound.
+
+The names below are the public API: the functions the README's library
+example calls and load_config, the types they take and return, the
+errors they raise, and ARTIFACT_VERSION. Everything else is importable
+from its own module, without a stability promise.
 """
 
-from .baselines import (
-    LpProblem,
-    build_max_eff_lp,
-    mixture_stationary_distribution,
-    random_long_run_reward,
-    solve_lp,
-)
-from .config import ARTIFACT_VERSION, DEFAULTS, RunManifest, RunSetup, load_config, setup_from_mapping
-from .equilibrium import (
-    EquilibriumResult,
-    SolverConfig,
-    SolverError,
-    ValueTables,
-    exploitability,
-    initial_social_state,
-    perturbed_best_response,
-    policy_evaluation,
-    q_function,
-    solve_sne,
-)
-from .model import (
-    GameConfig,
-    ParameterError,
-    SocialState,
-    UrgencyProcess,
-    average_payment,
-    bid_marginal,
-    build_urgency_process,
-    win_prob_all_bids,
-)
-from .simplex import LpError, LpInfeasibleError, LpUnboundedError, solve_standard_form
-from .simulation import (
-    Mechanism,
-    MechanismKind,
-    MetricsReport,
-    Population,
-    initialize_population,
-    run_experiment,
-    run_round,
-)
+from .baselines import LpProblem, build_max_eff_lp, solve_lp
+from .config import ARTIFACT_VERSION, RunSetup, load_config
+from .equilibrium import EquilibriumResult, SolverConfig, SolverError, ValueTables, solve_sne
+from .model import GameConfig, ParameterError, SocialState, UrgencyProcess, build_urgency_process
+from .simplex import LpError
+from .simulation import Mechanism, MechanismKind, MetricsReport, run_experiment
 
 __version__ = ARTIFACT_VERSION
 
 __all__ = [
     "ARTIFACT_VERSION",
-    "DEFAULTS",
     "EquilibriumResult",
     "GameConfig",
     "LpError",
-    "LpInfeasibleError",
     "LpProblem",
-    "LpUnboundedError",
     "Mechanism",
     "MechanismKind",
     "MetricsReport",
     "ParameterError",
-    "Population",
-    "RunManifest",
     "RunSetup",
     "SocialState",
     "SolverConfig",
     "SolverError",
     "UrgencyProcess",
     "ValueTables",
-    "average_payment",
-    "bid_marginal",
     "build_max_eff_lp",
     "build_urgency_process",
-    "exploitability",
-    "initial_social_state",
-    "initialize_population",
     "load_config",
-    "mixture_stationary_distribution",
-    "perturbed_best_response",
-    "policy_evaluation",
-    "q_function",
-    "random_long_run_reward",
     "run_experiment",
-    "run_round",
-    "setup_from_mapping",
     "solve_lp",
     "solve_sne",
-    "solve_standard_form",
-    "win_prob_all_bids",
 ]

@@ -1,16 +1,12 @@
-"""The efficiency upper bound and the analytic coin-flip reward.
+"""The efficiency upper bound, MAX_EFF.
 
 The allocation rules themselves (RANDOM, TURN, GREEDY_URGENCY) live in
-the simulator. This module holds the two references computed from the
-urgency chain alone:
-
-- MAX_EFF is a linear program over joint (urgency, outcome) mass: it
-  maximizes the population reward subject to stationarity of the urgency
-  marginal, normalization, and a 0.5 aggregate win share. Its optimum
-  upper-bounds the long-run average reward of any allocation rule whose
-  urgency transitions follow the same outcome-conditioned chain.
-- The long-run reward of RANDOM follows from the stationary urgency
-  distribution under an even coin.
+the simulator. MAX_EFF follows from the urgency chain alone: a linear
+program over joint (urgency, outcome) mass that maximizes the population
+reward subject to stationarity of the urgency marginal, normalization,
+and a 0.5 aggregate win share. Its optimum upper-bounds the long-run
+average reward of any allocation rule whose urgency transitions follow
+the same outcome-conditioned chain.
 """
 
 from __future__ import annotations
@@ -99,26 +95,3 @@ def solve_lp(problem: LpProblem) -> tuple[float, np.ndarray]:
         raise LpError(f"optimizer violates constraints by {residual:.3e}")
     return -neg_value, x
 
-
-def mixture_stationary_distribution(process: UrgencyProcess) -> np.ndarray:
-    """Stationary urgency distribution when every agent wins half of its
-    interactions, independent of state."""
-    mix = 0.5 * process.phi[0] + 0.5 * process.phi[1]
-    n = process.n_levels
-    # Stationarity rows plus normalization; full column rank for an
-    # irreducible chain, solved in the least-squares sense.
-    stacked = np.vstack([mix.T - np.eye(n), np.ones((1, n))])
-    target = np.zeros(n + 1)
-    target[-1] = 1.0
-    dist, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-    return dist
-
-
-def random_long_run_reward(process: UrgencyProcess) -> float:
-    """Long-run average reward per agent per interaction under RANDOM.
-
-    At the even-coin stationary urgency distribution an agent loses half
-    the time, paying its current urgency.
-    """
-    dist = mixture_stationary_distribution(process)
-    return float(-(dist @ process.level_values) / 2.0)

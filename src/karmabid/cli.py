@@ -37,7 +37,6 @@ _MECHANISM_NAMES = {
     "random": MechanismKind.RANDOM,
     "turn": MechanismKind.TURN,
     "greedy": MechanismKind.GREEDY_URGENCY,
-    "greedy_urgency": MechanismKind.GREEDY_URGENCY,
 }
 
 
@@ -158,7 +157,14 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     lp_value, _psi = solve_lp(problem)
     timings["lp_seconds"] = time.perf_counter() - start
 
-    mechanisms = [Mechanism.karma(result), *map(Mechanism, ("RANDOM", "TURN", "GREEDY_URGENCY"))]
+    # The simulations read only the converged policy. The solve's value
+    # tables and operator are released before the KARMA bid tables are
+    # built, so the two are never alive at once.
+    outputs = _write_equilibrium_files(out, setup, result)
+    policy = result.social.pi
+    del result
+    mechanisms = [Mechanism(MechanismKind.KARMA, policy),
+                  *map(Mechanism, ("RANDOM", "TURN", "GREEDY_URGENCY"))]
     rows = []
     for mechanism in mechanisms:
         start = time.perf_counter()
@@ -167,11 +173,9 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
         rows.append((mechanism.kind.value, repr(report.r_bar), repr(report.beta)))
     rows.append(("MAX_EFF_LP", repr(lp_value), ""))
 
-    out.mkdir(parents=True, exist_ok=True)
     comparison_path = out / "comparison.csv"
     lines = ["mechanism,r_bar,beta"] + [",".join(row) for row in rows]
     comparison_path.write_text("\n".join(lines) + "\n")
-    outputs = _write_equilibrium_files(out, setup, result)
     outputs["comparison"] = str(comparison_path)
     _write_manifest(out, setup, "compare",
                     mechanisms=[m.kind.value for m in mechanisms] + ["MAX_EFF_LP"],

@@ -116,7 +116,10 @@ def load_config(path: str | Path | None) -> RunSetup:
     """
     if path is None:
         return setup_from_mapping({})
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config {str(path)!r} is not UTF-8 text: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -233,6 +233,8 @@ class GameConfig:
             )
         if self.n_agents <= 0:
             raise ParameterError(f"n_agents must be positive, got {self.n_agents}")
+        if self.n_agents % 2 != 0:
+            raise ParameterError(f"n_agents must be even for pairwise matching, got {self.n_agents}")
         if self.n_rounds <= 0:
             raise ParameterError(f"n_rounds must be positive, got {self.n_rounds}")
         if self.burn_in < 0:

@@ -143,9 +143,6 @@ class Population:
     def n(self) -> int:
         return self.u.shape[0]
 
-    def total_karma(self) -> int:
-        return int(self.karma.sum())
-
 
 @dataclass
 class MetricsReport:
@@ -189,8 +186,6 @@ def initialize_population(config: GameConfig) -> Population:
     """Fresh population: everyone at the lowest urgency with exactly k_bar
     karma (total N * k_bar), counters zeroed, generator seeded."""
     n = config.n_agents
-    if n % 2 != 0:
-        raise ParameterError(f"n_agents must be even for pairwise matching, got {n}")
     return Population(
         u=np.zeros(n, dtype=np.int64),
         karma=np.full(n, config.k_bar, dtype=np.int64),

@@ -317,3 +317,27 @@ def vertex_enumeration_lp(problem: LpProblem) -> tuple[float, np.ndarray]:
     if best_x is None:
         raise AssertionError("no basic feasible solution found")
     return best_value, best_x
+
+
+def mixture_stationary_distribution(process: UrgencyProcess) -> np.ndarray:
+    """Stationary urgency distribution when every agent wins half of its
+    interactions, independent of state."""
+    mix = 0.5 * process.phi[0] + 0.5 * process.phi[1]
+    n = process.n_levels
+    # Stationarity rows plus normalization; full column rank for an
+    # irreducible chain, solved in the least-squares sense.
+    stacked = np.vstack([mix.T - np.eye(n), np.ones((1, n))])
+    target = np.zeros(n + 1)
+    target[-1] = 1.0
+    dist, *_ = np.linalg.lstsq(stacked, target, rcond=None)
+    return dist
+
+
+def random_long_run_reward(process: UrgencyProcess) -> float:
+    """Long-run average reward per agent per interaction under RANDOM.
+
+    At the even-coin stationary urgency distribution an agent loses half
+    the time, paying its current urgency.
+    """
+    dist = mixture_stationary_distribution(process)
+    return float(-(dist @ process.level_values) / 2.0)

@@ -16,14 +16,12 @@ from karmabid import (
     Mechanism,
     MechanismKind,
     build_max_eff_lp,
-    initialize_population,
-    random_long_run_reward,
     run_experiment,
-    run_round,
     solve_lp,
 )
 from karmabid.cli import main
-from oracles import deviation_gains_oracle, unpack, vertex_enumeration_lp
+from karmabid.simulation import initialize_population, run_round
+from oracles import deviation_gains_oracle, random_long_run_reward, unpack, vertex_enumeration_lp
 
 SEEDS = (11, 12, 13, 14, 15)
 MECHANISMS = (
@@ -204,7 +202,7 @@ def test_criterion_8_exact_karma_conservation(case_process, case_config, case_eq
     rounds = case_config.burn_in + case_config.n_rounds
     for _ in range(rounds):
         run_round(pop, case_process, mechanism)
-        if pop.total_karma() != expected_total:
+        if int(pop.karma.sum()) != expected_total:
             violations += 1
     ok = violations == 0
     assert _criterion(

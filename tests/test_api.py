@@ -6,15 +6,10 @@ from pathlib import Path
 import karmabid
 
 PUBLIC_NAMES = [
-    "ARTIFACT_VERSION", "DEFAULTS", "EquilibriumResult", "GameConfig", "LpError",
-    "LpInfeasibleError", "LpProblem", "LpUnboundedError", "Mechanism", "MechanismKind",
-    "MetricsReport", "ParameterError", "Population", "RunManifest", "RunSetup", "SocialState",
-    "SolverConfig", "SolverError", "UrgencyProcess", "ValueTables", "average_payment",
-    "bid_marginal", "build_max_eff_lp", "build_urgency_process", "exploitability",
-    "initial_social_state", "initialize_population", "load_config",
-    "mixture_stationary_distribution", "perturbed_best_response", "policy_evaluation",
-    "q_function", "random_long_run_reward", "run_experiment", "run_round", "setup_from_mapping",
-    "solve_lp", "solve_sne", "solve_standard_form", "win_prob_all_bids",
+    "ARTIFACT_VERSION", "EquilibriumResult", "GameConfig", "LpError", "LpProblem", "Mechanism",
+    "MechanismKind", "MetricsReport", "ParameterError", "RunSetup", "SocialState", "SolverConfig",
+    "SolverError", "UrgencyProcess", "ValueTables", "build_max_eff_lp", "build_urgency_process",
+    "load_config", "run_experiment", "solve_lp", "solve_sne",
 ]
 
 

@@ -6,23 +6,23 @@ import pytest
 
 from karmabid import (
     GameConfig,
-    LpInfeasibleError,
     LpProblem,
     Mechanism,
     ParameterError,
-    Population,
     UrgencyProcess,
     build_max_eff_lp,
     build_urgency_process,
-    initialize_population,
-    mixture_stationary_distribution,
-    random_long_run_reward,
     run_experiment,
-    run_round,
     solve_lp,
 )
-from karmabid.simulation import _pick_winners
-from oracles import power_iteration_oracle, vertex_enumeration_lp
+from karmabid.simplex import LpInfeasibleError
+from karmabid.simulation import Population, _pick_winners, initialize_population, run_round
+from oracles import (
+    mixture_stationary_distribution,
+    power_iteration_oracle,
+    random_long_run_reward,
+    vertex_enumeration_lp,
+)
 
 
 def single_level_process(level: int) -> UrgencyProcess:

@@ -1,15 +1,14 @@
 """Command-line tests: exit codes, file outputs, manifest reproducibility."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karmabid import (
-    DEFAULTS, ParameterError, RunManifest, RunSetup, build_max_eff_lp, load_config,
-    setup_from_mapping, solve_lp,
-)
+from karmabid import ParameterError, RunSetup, build_max_eff_lp, load_config, solve_lp
 from karmabid.cli import main
+from karmabid.config import DEFAULTS, RunManifest, setup_from_mapping
 
 # Any value a JSON config can hold. The second integer range reaches past
 # the largest float (about 2**1024), where float() overflows.
@@ -34,6 +33,10 @@ n_rounds = 30
 burn_in = 5
 rng_seed = 99
 """
+
+# Every subcommand, with the arguments it needs; simulate takes the one
+# mechanism that solves.
+COMMANDS = [["solve"], ["simulate", "--mechanism", "karma"], ["compare"], ["lp"]]
 
 
 @pytest.fixture
@@ -183,6 +186,36 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
         assert code == 4
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_non_utf8_config_exits_2_with_one_line(self, command, tmp_path, capsys):
+        # Before the check, reading the file raised UnicodeDecodeError (exit 1).
+        path = tmp_path / "f"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code = main([*command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(path) in err and "UTF-8" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_odd_n_agents_exits_2_before_the_solve(self, command, tmp_path, capsys, monkeypatch):
+        # Before GameConfig checked it, compare and simulate --mechanism karma
+        # failed only after the whole solve, and solve and lp exited 0.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_sne was called")
+
+        monkeypatch.setattr("karmabid.cli.solve_sne", no_solve)
+        path = tmp_path / "odd.cfg"
+        path.write_text("n_agents = 999\n")
+        code = main([*command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "n_agents must be even" in err
+        assert not (tmp_path / "o").exists()
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         path = tmp_path / "hard.cfg"
         path.write_text("levels = [1, 16]\nk_bar = 2\nk_max = 6\nmax_outer_iters = 40\n")
@@ -243,6 +276,13 @@ class TestSimulateCommand:
         assert (out / "metrics_karma.json").exists()
         trace_header = (out / "trace_karma.csv").read_text().splitlines()[0]
         assert trace_header.startswith("round,mean_reward,running_mean_reward,karma_0")
+
+    def test_mechanism_takes_the_four_documented_names(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--mechanism", "greedy_urgency"])
+        assert exc.value.code == 2
+        choices = capsys.readouterr().err.split("choose from", 1)[1]
+        assert re.findall(r"\w+", choices) == ["greedy", "karma", "random", "turn"]
 
 
 class TestCompareCommand:

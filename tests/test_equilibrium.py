@@ -15,18 +15,21 @@ from karmabid import (
     SolverConfig,
     SolverError,
     UrgencyProcess,
-    bid_marginal,
     build_urgency_process,
+    run_experiment,
+    solve_sne,
+)
+from karmabid.equilibrium import (
+    TransitionOperator,
+    _anneal,
     exploitability,
     initial_social_state,
     perturbed_best_response,
     policy_evaluation,
     q_function,
-    run_experiment,
-    solve_sne,
-    win_prob_all_bids,
+    write_policy_csv,
 )
-from karmabid.equilibrium import TransitionOperator, _anneal, write_policy_csv
+from karmabid.model import bid_marginal, win_prob_all_bids
 from conftest import make_random_social
 from oracles import (
     best_response_oracle,

@@ -11,15 +11,11 @@ from karmabid import (
     ParameterError,
     SocialState,
     UrgencyProcess,
-    average_payment,
-    bid_marginal,
     build_urgency_process,
-    policy_evaluation,
-    q_function,
-    setup_from_mapping,
-    win_prob_all_bids,
 )
-from karmabid.equilibrium import TransitionOperator
+from karmabid.config import setup_from_mapping
+from karmabid.equilibrium import TransitionOperator, policy_evaluation, q_function
+from karmabid.model import average_payment, bid_marginal, win_prob_all_bids
 from conftest import make_random_social
 from oracles import (
     average_payment_oracle,

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from karmabid import LpInfeasibleError, LpUnboundedError, solve_standard_form
+from karmabid.simplex import LpInfeasibleError, LpUnboundedError, solve_standard_form
 
 
 def vertex_minimum(c, A, b):
