@@ -1,5 +1,8 @@
 """Command-line front end: solve, simulate, compare, lp.
 
+Every command times its stages with _timed, writes JSON with _write_json
+and ends in _finish, which writes manifest.json and prints the summary.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 solver
 non-convergence, a value solve that misses tol_value, or LP failure,
 4 I/O error. All numeric output is written at full precision.
@@ -8,6 +11,7 @@ non-convergence, a value solve that misses tol_value, or LP failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -66,10 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solve_with_timing(setup: RunSetup, timings: dict) -> EquilibriumResult:
+def _timed(timings: dict, name: str, fn, *args):
+    """fn(*args), with its wall seconds recorded as timings[name]."""
     start = time.perf_counter()
-    result = solve_sne(setup.process, setup.game, setup.solver)
-    timings["solve_seconds"] = time.perf_counter() - start
+    value = fn(*args)
+    timings[name] = time.perf_counter() - start
+    return value
+
+
+def _write_json(path: Path, doc, sort_keys: bool = False) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+
+
+def _solve(setup: RunSetup, timings: dict) -> EquilibriumResult:
+    result = _timed(timings, "solve_seconds", solve_sne, setup.process, setup.game, setup.solver)
     timings.update(result.timings)
     return result
 
@@ -95,105 +109,86 @@ def _write_equilibrium_files(out: Path, setup: RunSetup, result: EquilibriumResu
     write_policy_csv(paths["policy"], setup.process, result.social)
     write_distribution_csv(paths["distribution"], setup.process, result.social)
     write_residuals_csv(paths["residuals"], result)
-    paths["summary"].write_text(json.dumps(result.summary(), indent=2) + "\n")
+    _write_json(paths["summary"], result.summary())
     return {name: str(p) for name, p in paths.items()}
 
 
-def _write_manifest(out: Path, setup: RunSetup, command: str, **fields) -> None:
-    RunManifest(command=command, config=setup.raw, **fields).write(out / "manifest.json")
+def _finish(out: Path, setup: RunSetup, command: str, text: str, **fields) -> int:
+    """Every command's last step: write its manifest, then print its stdout summary."""
+    manifest = RunManifest(command=command, config=setup.raw, **fields)
+    _write_json(out / "manifest.json", dataclasses.asdict(manifest), sort_keys=True)
+    print(text)
+    return EXIT_OK
 
 
 def cmd_solve(setup: RunSetup, out: Path) -> int:
     timings: dict = {}
-    result = _solve_with_timing(setup, timings)
+    result = _solve(setup, timings)
     outputs = _write_equilibrium_files(out, setup, result)
-    _write_manifest(out, setup, "solve", outputs=outputs, timings=timings)
-    print(json.dumps(result.summary(), indent=2))
-    if not result.converged:
-        return _no_convergence(setup, result)
-    return EXIT_OK
+    _finish(out, setup, "solve", json.dumps(result.summary(), indent=2),
+            outputs=outputs, timings=timings)
+    return EXIT_OK if result.converged else _no_convergence(setup, result)
 
 
 def cmd_simulate(setup: RunSetup, mechanism_name: str, out: Path, fmt: str) -> int:
     kind = _MECHANISM_NAMES[mechanism_name]
     timings: dict = {}
     if kind is MechanismKind.KARMA:
-        result = _solve_with_timing(setup, timings)
+        result = _solve(setup, timings)
         if not result.converged:
             return _no_convergence(setup, result)
         mechanism = Mechanism.karma(result)
     else:
         mechanism = Mechanism(kind)
-
-    start = time.perf_counter()
-    report = run_experiment(setup.process, setup.game, mechanism)
-    timings["simulate_seconds"] = time.perf_counter() - start
+    report = _timed(timings, "simulate_seconds", run_experiment, setup.process, setup.game, mechanism)
 
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / f"metrics_{kind.value.lower()}.json"
     trace_path = out / f"trace_{kind.value.lower()}.csv"
-    metrics_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_json(metrics_path, report.to_dict())
     write_trace_csv(trace_path, report)
-    _write_manifest(out, setup, "simulate", mechanisms=[kind.value],
-                    outputs={"metrics": str(metrics_path), "trace": str(trace_path)},
-                    timings=timings)
-
     if fmt == "json":
-        print(json.dumps({"mechanism": kind.value, "r_bar": report.r_bar, "beta": report.beta}, indent=2))
+        text = json.dumps({"mechanism": kind.value, "r_bar": report.r_bar, "beta": report.beta}, indent=2)
     else:
-        print("mechanism,r_bar,beta")
-        print(f"{kind.value},{report.r_bar!r},{report.beta!r}")
-    return EXIT_OK
+        text = f"mechanism,r_bar,beta\n{kind.value},{report.r_bar!r},{report.beta!r}"
+    return _finish(out, setup, "simulate", text, mechanisms=[kind.value],
+                   outputs={"metrics": str(metrics_path), "trace": str(trace_path)}, timings=timings)
 
 
 def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     timings: dict = {}
-    result = _solve_with_timing(setup, timings)
+    result = _solve(setup, timings)
     if not result.converged:
         return _no_convergence(setup, result)
-
-    problem = build_max_eff_lp(setup.process)
-    start = time.perf_counter()
-    lp_value, _psi = solve_lp(problem)
-    timings["lp_seconds"] = time.perf_counter() - start
-
-    # The simulations read only the converged policy. The solve's value
-    # tables and operator are released before the KARMA bid tables are
-    # built, so the two are never alive at once.
+    lp_value, _psi = _timed(timings, "lp_seconds", solve_lp, build_max_eff_lp(setup.process))
     outputs = _write_equilibrium_files(out, setup, result)
-    policy = result.social.pi
-    del result
-    mechanisms = [Mechanism(MechanismKind.KARMA, policy),
-                  *map(Mechanism, ("RANDOM", "TURN", "GREEDY_URGENCY"))]
+
+    mechanisms = [Mechanism.karma(result), *map(Mechanism, ("RANDOM", "TURN", "GREEDY_URGENCY"))]
     rows = []
     for mechanism in mechanisms:
-        start = time.perf_counter()
-        report = run_experiment(setup.process, setup.game, mechanism)
-        timings[f"simulate_{mechanism.kind.value.lower()}_seconds"] = time.perf_counter() - start
-        rows.append((mechanism.kind.value, repr(report.r_bar), repr(report.beta)))
+        name = mechanism.kind.value
+        report = _timed(timings, f"simulate_{name.lower()}_seconds",
+                        run_experiment, setup.process, setup.game, mechanism)
+        rows.append((name, repr(report.r_bar), repr(report.beta)))
     rows.append(("MAX_EFF_LP", repr(lp_value), ""))
 
     comparison_path = out / "comparison.csv"
     lines = ["mechanism,r_bar,beta"] + [",".join(row) for row in rows]
     comparison_path.write_text("\n".join(lines) + "\n")
     outputs["comparison"] = str(comparison_path)
-    _write_manifest(out, setup, "compare",
-                    mechanisms=[m.kind.value for m in mechanisms] + ["MAX_EFF_LP"],
-                    outputs=outputs, timings=timings)
-
     if fmt == "json":
-        print(json.dumps([{"mechanism": name, "r_bar": float(r), "beta": float(b) if b else None}
-                          for name, r, b in rows], indent=2))
+        text = json.dumps([{"mechanism": name, "r_bar": float(r), "beta": float(b) if b else None}
+                           for name, r, b in rows], indent=2)
     else:
-        print("\n".join(lines))
-    return EXIT_OK
+        text = "\n".join(lines)
+    return _finish(out, setup, "compare", text, mechanisms=[row[0] for row in rows],
+                   outputs=outputs, timings=timings)
 
 
 def cmd_lp(setup: RunSetup, out: Path) -> int:
     problem = build_max_eff_lp(setup.process)
-    start = time.perf_counter()
-    value, psi = solve_lp(problem)
-    elapsed = time.perf_counter() - start
+    timings: dict = {}
+    value, psi = _timed(timings, "lp_seconds", solve_lp, problem)
     doc = {
         "r_bar_max": value,
         "psi": [
@@ -202,11 +197,9 @@ def cmd_lp(setup: RunSetup, out: Path) -> int:
         ],
     }
     out.mkdir(parents=True, exist_ok=True)
-    lp_path = out / "lp.json"
-    lp_path.write_text(json.dumps(doc, indent=2) + "\n")
-    _write_manifest(out, setup, "lp", outputs={"lp": str(lp_path)}, timings={"lp_seconds": elapsed})
-    print(json.dumps(doc, indent=2))
-    return EXIT_OK
+    _write_json(out / "lp.json", doc)
+    return _finish(out, setup, "lp", json.dumps(doc, indent=2),
+                   outputs={"lp": str(out / "lp.json")}, timings=timings)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -135,8 +135,8 @@ def load_config(path: str | Path | None) -> RunSetup:
 
 @dataclass
 class RunManifest:
-    """Self-contained record of one CLI run; JSON round-trips losslessly:
-    RunManifest(**json.loads(manifest.to_json())) == manifest."""
+    """Self-contained record of one CLI run, written as manifest.json with
+    sorted keys; every field survives a JSON round trip."""
 
     command: str
     config: dict
@@ -144,9 +144,3 @@ class RunManifest:
     mechanisms: list = field(default_factory=list)
     outputs: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")

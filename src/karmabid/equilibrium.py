@@ -11,9 +11,10 @@ tolerances.
 The state transition kernel is never formed as an S x S array. A
 TransitionOperator, built once per policy evaluation, applies P (for the
 value solve and for Q) and its push-forward d P through the karma
-landing indices. The values come from restarted GMRES, which solve_sne
-warm-starts by extrapolating the previous iterations' V and stops early
-while the policy is far from a best response (a forcing term, _FORCING).
+landing indices; no EquilibriumResult holds one. The values come from
+restarted GMRES, which solve_sne warm-starts by extrapolating the
+previous iterations' V and stops early while the policy is far from a
+best response (a forcing term, _FORCING).
 
 A karma space much wider than its equilibrium needs is solved by nested
 iteration (Briggs, Henson & McCormick 2000): solve_sne solves k_max = 4 k_bar
@@ -139,7 +140,8 @@ class ValueTables:
     V: expected discounted reward per (u, k).
     R: expected immediate reward per (u, k).
     transitions: matrix-free transition operator of the evaluated social
-       state; q_function and the push-forward in solve_sne reuse it.
+       state, which q_function and solve_sne's push-forward reuse; None on
+       an EquilibriumResult.
     matvecs: applications of P spent on V, the final residual check
        included.
     inner_iterations: GMRES (Arnoldi) steps spent on V.
@@ -147,7 +149,7 @@ class ValueTables:
 
     V: np.ndarray
     R: np.ndarray
-    transitions: TransitionOperator = dataclasses.field(repr=False)
+    transitions: TransitionOperator | None = dataclasses.field(repr=False)
     matvecs: int = 0
     inner_iterations: int = 0
 
@@ -160,7 +162,8 @@ class EquilibriumResult:
     (stationarity residual in total variation, exploitability), both
     measured on the social state entering that iteration. value_matvecs
     counts the applications of P over all value solves, and
-    max_inner_iterations is the most GMRES steps one value solve took.
+    max_inner_iterations is the most GMRES steps one value solve took;
+    both, like timings, include a dropped coarse stage (solve_sne).
     predicted_r_bar is the mean-field long-run reward d . R, and
     equilibrium_fingerprint names the selected equilibrium: the sha256 of
     the int64 most likely bid of every state holding mass above 1e-6, in
@@ -480,29 +483,31 @@ def solve_sne(
     one holding mass at its k_max. A coarse stage that did not converge is
     dropped and the full space annealed alone: at k_bar = 1, k_max = 8,
     refining it selects another equilibrium than the direct solve. Each
-    stage runs at most max_outer_iters; counts, residuals (coarse rows
-    first) and timings cover both stages of a refined solve.
+    stage runs at most max_outer_iters. The work counts and timings cover
+    every stage that ran; iterations and residuals (coarse rows first)
+    only the stages that led to the result.
 
     Non-convergence is reported through converged=False on the result,
     never as an exception.
     """
     solver = solver if solver is not None else SolverConfig()
     coarse_k_max = _COARSE_FACTOR * config.k_bar
-    if config.k_bar >= 1 and config.k_max > coarse_k_max:
-        coarse = _anneal(process, dataclasses.replace(config, k_max=coarse_k_max), solver)
-        if coarse.converged:
-            guess, coarse.values = coarse.values.V, None  # its operator raised the peak RSS
-            pad = ((0, 0), (0, config.k_max - coarse_k_max))
-            fine = _anneal(process, config, solver, _embed(coarse.social, config.k_max),
-                           solver.temperature_floor, np.pad(guess, pad, "edge"))
-            fine.residuals = np.concatenate([coarse.residuals, fine.residuals])
-            fine.iterations += coarse.iterations
-            fine.value_matvecs += coarse.value_matvecs
-            fine.max_inner_iterations = max(fine.max_inner_iterations, coarse.max_inner_iterations)
-            fine.timings = {name: t + coarse.timings[name] for name, t in fine.timings.items()}
-            fine.coarse_k_max, fine.coarse_iterations = coarse_k_max, coarse.iterations
-            return fine
-    return _anneal(process, config, solver)
+    if config.k_bar < 1 or config.k_max <= coarse_k_max:
+        return _anneal(process, config, solver)
+    coarse = _anneal(process, dataclasses.replace(config, k_max=coarse_k_max), solver)
+    if coarse.converged:
+        pad = ((0, 0), (0, config.k_max - coarse_k_max))
+        result = _anneal(process, config, solver, _embed(coarse.social, config.k_max),
+                         solver.temperature_floor, np.pad(coarse.values.V, pad, "edge"))
+        result.residuals = np.concatenate([coarse.residuals, result.residuals])
+        result.iterations += coarse.iterations
+        result.coarse_k_max, result.coarse_iterations = coarse_k_max, coarse.iterations
+    else:
+        result = _anneal(process, config, solver)
+    result.value_matvecs += coarse.value_matvecs
+    result.max_inner_iterations = max(result.max_inner_iterations, coarse.max_inner_iterations)
+    result.timings = {name: t + coarse.timings[name] for name, t in result.timings.items()}
+    return result
 
 
 def _mass_at_k_max(d: np.ndarray) -> float:
@@ -596,7 +601,7 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
 
     return EquilibriumResult(
         social=social,
-        values=values,
+        values=dataclasses.replace(values, transitions=None),
         residuals=np.asarray(trace),
         converged=converged,
         iterations=iterations,

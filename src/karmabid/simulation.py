@@ -358,7 +358,14 @@ def run_experiment(
 
     The burn-in rounds are excluded from every metric. Deterministic for
     identical (process, config, mechanism).
+
+    Raises:
+        ParameterError: if a KARMA policy has another number of urgency
+            levels than the process.
     """
+    if mechanism.policy is not None and mechanism.policy.shape[0] != process.n_levels:
+        raise ParameterError(f"policy has {mechanism.policy.shape[0]} urgency levels, "
+                             f"the process {process.n_levels}")
     pop = initialize_population(config)
     for _ in range(config.burn_in):
         run_round(pop, process, mechanism)

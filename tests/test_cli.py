@@ -1,5 +1,6 @@
 """Command-line tests: exit codes, file outputs, manifest reproducibility."""
 
+import dataclasses
 import json
 import re
 
@@ -74,7 +75,7 @@ class TestConfigLoading:
             mechanisms=["KARMA"], outputs={"comparison": "out/comparison.csv"},
             timings={"solve_seconds": 1.25},
         )
-        again = RunManifest(**json.loads(manifest.to_json()))
+        again = RunManifest(**json.loads(json.dumps(dataclasses.asdict(manifest), sort_keys=True)))
         assert again == manifest
 
     @settings(derandomize=True, max_examples=400, deadline=None)
@@ -337,3 +338,21 @@ class TestCompareCommand:
             else:
                 assert entry["beta"] is None
         assert printed[-1]["mechanism"] == "MAX_EFF_LP" and printed[-1]["beta"] is None
+
+
+@pytest.mark.parametrize("argv, outputs, timings", [
+    (["solve"], {"policy", "distribution", "residuals", "summary"}, {"solve_seconds"}),
+    (["simulate", "--mechanism", "karma"], {"metrics", "trace"},
+     {"solve_seconds", "simulate_seconds"}),
+    (["simulate", "--mechanism", "random"], {"metrics", "trace"}, {"simulate_seconds"}),
+    (["lp"], {"lp"}, {"lp_seconds"}),
+])
+def test_manifest_names_the_outputs_and_timings(argv, outputs, timings, tiny_config, tmp_path):
+    out = tmp_path / "a"
+    assert main([*argv, "--config", str(tiny_config), "--out", str(out)]) == 0
+    manifest = RunManifest(**json.loads((out / "manifest.json").read_text()))
+    assert set(manifest.outputs) == outputs
+    stages = {"solve_value_seconds", "solve_q_seconds", "solve_best_response_seconds",
+              "solve_update_seconds"}
+    assert set(manifest.timings) == timings | (stages if "solve_seconds" in timings else set())
+    assert all(value >= 0 for value in manifest.timings.values())

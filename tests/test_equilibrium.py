@@ -1,8 +1,11 @@
 """Equilibrium solver tests: evaluation against dense and power-iteration
 oracles, best-response limits, and convergence behavior on small games."""
 
+import dataclasses
+import gc
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -177,7 +180,10 @@ class TestQFunction:
 
     def test_infeasible_bids_absent(self, case_process, case_config, case_equilibrium):
         # The packed table has exactly one finite entry per feasible bid.
-        q = q_function(case_equilibrium.values, case_process, case_config)
+        values = dataclasses.replace(
+            case_equilibrium.values,
+            transitions=TransitionOperator(case_process, case_equilibrium.social))
+        q = q_function(values, case_process, case_config)
         nk = case_config.k_max + 1
         assert q.shape == (case_process.n_levels, nk * (nk + 1) // 2)
         assert np.isfinite(q).all()
@@ -434,7 +440,8 @@ class TestSolveSne:
             assert not result.converged
             assert result.exploitability > 1e-6  # so its last solve started loose
         values = result.values
-        backup = values.R + case_config.alpha * values.transitions.apply(values.V)
+        transitions = TransitionOperator(case_process, result.social)
+        backup = values.R + case_config.alpha * transitions.apply(values.V)
         assert np.abs(values.V - backup).max() <= SolverConfig().tol_value
 
     def test_case_study_equilibrium_is_pinned(self, case_equilibrium):
@@ -482,6 +489,24 @@ class TestSolveSne:
         assert not result.converged
         assert result.iterations == 30
         assert result.residuals.shape == (30, 2)
+
+    @pytest.mark.parametrize("solve", ["case_equilibrium", "fine_solve"])
+    def test_result_holds_no_transition_operator(self, solve, request):
+        # Without and with a coarse stage: the operator, the largest table
+        # of an evaluation, stays inside the iteration.
+        result = request.getfixturevalue(solve)
+        if solve == "fine_solve":
+            result = result[0]
+            assert result.coarse_k_max is not None
+        seen, stack = set(), [result]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, TransitionOperator)
+            stack.extend(gc.get_referents(obj))
+        assert result.values.transitions is None and result.values.R.shape == result.social.d.shape
 
     def test_value_monotonicity_at_equilibrium(self, case_equilibrium):
         v = case_equilibrium.values.V
@@ -577,6 +602,9 @@ class TestCoarseStage:
         assert result.converged
         assert (result.coarse_k_max, result.coarse_iterations, result.iterations) == (None, 0, 543)
         assert result.equilibrium_fingerprint.startswith("adaef604")
+        # The dropped stage's work still counts: 20111 applications of P
+        # beside the direct anneal's 6397.
+        assert result.value_matvecs == 26_508
 
 
 class TestWritePolicyCsv:

@@ -517,6 +517,17 @@ class TestRunExperiment:
         assert report.karma_histograms.shape == (config.n_rounds, config.k_max + 1)
         np.testing.assert_array_equal(report.karma_histograms.sum(axis=1), config.n_agents)
 
+    @pytest.mark.parametrize("policy_levels, process_levels", [(2, 5), (5, 2)])
+    def test_karma_policy_levels_must_match_the_process(self, policy_levels, process_levels):
+        # Unchecked, a 2-level policy on 5 levels indexed past its bid table
+        # and a 5-level policy on 2 levels ran and returned r_bar = -2.6.
+        process = build_urgency_process([1, 2, 4, 8, 16][:process_levels], 0.04)
+        config = GameConfig(k_bar=4, k_max=8, n_agents=50, n_rounds=20, burn_in=5)
+        mechanism = Mechanism(MechanismKind.KARMA, uniform_policy(policy_levels, config.k_max))
+        with pytest.raises(ParameterError,
+                           match=f"policy has {policy_levels} .*the process {process_levels}"):
+            run_experiment(process, config, mechanism)
+
     def test_seed_determinism(self, small_setup):
         process, config = small_setup
         first = run_experiment(process, config, Mechanism("RANDOM"))
