@@ -14,10 +14,10 @@ cumulative table, one row per agent state. Each table has a guide table
 (Chen & Asau 1974; Devroye 1986, section III.2) that splits [0, 1) into
 256 equal buckets and records, per row, the sample shared by every draw
 in a bucket, or a mark where a column boundary cuts the bucket. A draw
-then costs one gather; the few draws that land in a cut bucket fall
-back to a vectorised binary search of their row. The bid tables are
-built once per Mechanism and the urgency tables once per population and
-process, so a round builds no per-agent row table.
+then costs one gather; the few draws that land in a cut bucket count
+the entries of their row below the draw, in blocks of bounded size.
+The bid tables are built once per Mechanism and the urgency tables once
+per population and process, so a round builds no per-agent row table.
 
 A round never scatters through winner or loser index arrays: one boolean
 per agent records the outcome, and the urgency state
@@ -45,6 +45,12 @@ from .model import GameConfig, ParameterError, UrgencyProcess, bid_layout, packe
 # Buckets of a guide table. A power of two, so int(draw * _GUIDE_BUCKETS)
 # is the exact bucket of every draw in [0, 1).
 _GUIDE_BUCKETS = 256
+
+# Entries of cdf that one block of _sample_guided's fallback gathers.
+# 2**16 float64 entries are 512 KB: the fallback's memory stays bounded
+# however wide the rows and however many draws land in cut buckets,
+# while the few cut draws of a converged policy take one block.
+_FALLBACK_ENTRIES = 1 << 16
 
 
 class MechanismKind(str, Enum):
@@ -195,43 +201,16 @@ def initialize_population(config: GameConfig) -> Population:
     )
 
 
-def _sample_cdf(cdf: np.ndarray, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample from row state[i] of the table cdf for each draw.
-
-    cdf is (n_states, m) with non-decreasing rows. The result is the
-    number of entries of the row strictly below the draw, clamped to
-    m - 1 so that a draw above a row sum that rounded below 1 does not
-    fall past the last category. Counting over the first m - 1 entries
-    only gives that clamp for free.
-
-    The count is found by binary lifting, one gather and one compare per
-    agent and step, ceil(log2(m)) steps in all: a first probe at column
-    n - h (n = m - 1, h the largest power of two <= n) narrows the count
-    to a window of h values starting at 0 or n - h + 1, and each further
-    probe halves the window.
-    """
-    m = cdf.shape[1]
-    n = m - 1
-    if n == 0:
-        return np.zeros(state.shape, dtype=np.int64)
-    flat = cdf.ravel()
-    start = state * m
-    h = 1 << (n.bit_length() - 1)
-    pos = start + (n - h + 1) * (np.take(flat, start + (n - h)) < draws)
-    while h > 1:
-        h //= 2
-        pos += h * (np.take(flat, pos + (h - 1)) < draws)
-    return pos - start
-
-
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
     """Guide table of the cumulative table cdf (n_states, m).
 
-    Entry [r, b] for b < B = _GUIDE_BUCKETS is the _sample_cdf sample of
-    row r shared by every draw in the bucket [b / B, (b + 1) / B), or m
-    (no column) if the bucket holds draws with different samples. A
-    draw's sample is the number of entries of cdf[r, :m-1] strictly below
-    it, which lies between the counts strictly below the two bucket
+    The sample of row r for a draw is the number of entries of
+    cdf[r, :m-1] strictly below the draw: the inverse-CDF column, clamped
+    to m - 1 so that a draw above a row sum that rounded below 1 does not
+    fall past the last column. Entry [r, b] for b < B = _GUIDE_BUCKETS is
+    the sample shared by every draw in the bucket [b / B, (b + 1) / B),
+    or m (no column) if the bucket holds draws with different samples. A
+    draw's sample lies between the counts strictly below the two bucket
     edges; where those two agree it is known. Column B is m: a draw in
     [1, 1 + 1 / B), such as a CDF entry that rounded to 1 or just above,
     lands there and falls back. Rows are filled one at a time into the
@@ -249,12 +228,15 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
 def _sample_guided(
     cdf: np.ndarray, guide: np.ndarray, state: np.ndarray, draws: np.ndarray
 ) -> np.ndarray:
-    """_sample_cdf(cdf, state, draws) for draws in [0, 1 + 1 / B), read
-    from the guide table of cdf, as a new int64 array.
+    """The sample of row state[i] of cdf for each draws[i] in
+    [0, 1 + 1 / B), as _guide_table defines it, in a new int64 array;
+    guide is the guide table of cdf.
 
-    Each draw costs one gather; only the draws whose guide entry is m
-    go through _sample_cdf. state and draws are never written; beside the
-    result the call holds one uint16 bucket array, then the guide lookup.
+    Each draw costs one gather. A draw whose guide entry is the cut mark
+    m is counted against the first m - 1 entries of its row, in blocks of
+    at most _FALLBACK_ENTRIES gathered entries. state and draws are never
+    written; beside the result the call holds one uint16 bucket array,
+    then the guide lookup, then one block.
     """
     idx = np.multiply(state, _GUIDE_BUCKETS + 1, dtype=np.int64)
     # draw * B is exact and truncating it is the floor. A ufunc casting
@@ -262,9 +244,12 @@ def _sample_guided(
     # bucket, B included, fits in uint16.
     idx += np.multiply(draws, _GUIDE_BUCKETS, out=np.empty(state.shape, np.uint16), casting="unsafe")
     idx[...] = np.take(guide.ravel(), idx)
-    cut = np.flatnonzero(idx == cdf.shape[1])
-    if cut.size:
-        idx[cut] = _sample_cdf(cdf, state[cut], draws[cut])
+    m = cdf.shape[1]
+    cut = np.flatnonzero(idx == m)
+    step = max(1, _FALLBACK_ENTRIES // max(m - 1, 1))
+    for lo in range(0, cut.size, step):
+        part = cut[lo:lo + step]
+        idx[part] = (cdf[state[part], :-1] < draws[part, None]).sum(axis=1)
     return idx
 
 
@@ -280,14 +265,14 @@ def _pick_winners(
     if mechanism.kind is MechanismKind.RANDOM:
         return coin_first
     if mechanism.kind is MechanismKind.KARMA:
-        priority = bids
+        pf, ps = bids[first], bids[second]
     elif mechanism.kind is MechanismKind.GREEDY_URGENCY:
-        priority = pop.u
+        pf, ps = pop.u[first], pop.u[second]
     else:
         # Everyone plays every round, so all win fractions share one
-        # denominator and comparing win counts gives the same decisions.
-        priority = -pop.wins
-    pf, ps = priority[first], priority[second]
+        # denominator and comparing win counts gives the same decisions;
+        # the fewer wins have the priority, so the pair is read swapped.
+        pf, ps = pop.wins[second], pop.wins[first]
     return np.where(pf == ps, coin_first, pf > ps)
 
 

@@ -19,8 +19,9 @@ from karmabid import (
     run_experiment,
     solve_sne,
 )
+from karmabid import simulation
 from karmabid.simulation import (
-    _guide_table, _sample_cdf, _sample_guided, initialize_population, run_round, write_trace_csv,
+    _GUIDE_BUCKETS, _guide_table, _sample_guided, initialize_population, run_round, write_trace_csv,
 )
 from oracles import (
     mixture_stationary_distribution, pack, random_long_run_reward, sample_rows_oracle, unpack,
@@ -225,11 +226,19 @@ def random_rows(rng: np.random.Generator, n_rows: int, width: int) -> np.ndarray
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-class TestSampleCdf:
-    """_sample_cdf must reproduce the brute-force inverse-CDF sample bit
-    for bit: the simulator's draws depend on it."""
+def fallback_only(cdf: np.ndarray, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """_sample_guided with the cut mark m in every guide entry, so that
+    every draw takes the fallback."""
+    m = cdf.shape[1]
+    guide = np.full((cdf.shape[0], _GUIDE_BUCKETS + 1), m, dtype=np.min_scalar_type(m))
+    return _sample_guided(cdf, guide, state, draws)
 
-    sample = staticmethod(_sample_cdf)
+
+class TestSampleCdf:
+    """The fallback of _sample_guided must reproduce the brute-force
+    inverse-CDF sample bit for bit: the simulator's draws depend on it."""
+
+    sample = staticmethod(fallback_only)
 
     def check(self, rows: np.ndarray, state: np.ndarray, draws: np.ndarray) -> None:
         expected = sample_rows_oracle(rows[state], draws)
@@ -356,7 +365,8 @@ class TestSampleGuided(TestSampleCdf):
     @pytest.mark.parametrize("width", [5, 41, 161])
     def test_leaves_its_arguments_unchanged_and_returns_int64(self, width):
         rng = np.random.default_rng(400 + width)
-        cdf = np.cumsum(random_rows(rng, 6, width), axis=1)
+        rows = random_rows(rng, 6, width)
+        cdf = np.cumsum(rows, axis=1)
         state = rng.integers(6, size=5000)
         # cdf entries land in cut buckets, so the fallback runs too
         draws = np.concatenate([rng.random(4000), cdf[state[4000:], rng.integers(width, size=1000)]])
@@ -365,7 +375,7 @@ class TestSampleGuided(TestSampleCdf):
         assert got.dtype == np.int64
         np.testing.assert_array_equal(state, state_before)
         np.testing.assert_array_equal(draws, draws_before)
-        np.testing.assert_array_equal(got, _sample_cdf(cdf, state, draws))
+        np.testing.assert_array_equal(got, sample_rows_oracle(rows[state], draws))
 
     def test_guide_build_allocates_little_beyond_the_table(self):
         rng = np.random.default_rng(4)
@@ -378,6 +388,39 @@ class TestSampleGuided(TestSampleCdf):
             tracemalloc.stop()
         # A (rows, 257) int64 temporary alone would be 1.65 MB.
         assert peak < guide.nbytes + 64 * 1024
+
+
+def test_fallback_memory_stays_bounded_on_wide_rows(case_process):
+    # A uniform policy at k_max = 160 sends about 31 % of the bid draws
+    # to the fallback; gathering all their rows at once peaks at 44 MB.
+    n, k_max = 100_000, 160
+    policy = uniform_policy(case_process.n_levels, k_max)
+    mechanism = Mechanism("KARMA", policy)
+    cdf, guide = mechanism.bid_cdf, mechanism.bid_guide
+    rng = np.random.default_rng(12)
+    state = rng.integers(cdf.shape[0], size=n)
+    draws = rng.random(n)
+    cut = guide[state, (draws * _GUIDE_BUCKETS).astype(np.int64)] == k_max + 1
+    assert cut.mean() > 0.25
+    got = []
+    peak = traced_peak(lambda: got.append(_sample_guided(cdf, guide, state, draws)))
+    assert peak < 3 * 2**20
+    rows = unpack(policy).reshape(cdf.shape)
+    for lo in range(0, n, 5000):
+        part = slice(lo, lo + 5000)
+        np.testing.assert_array_equal(got[0][part], sample_rows_oracle(rows[state[part]], draws[part]))
+
+
+@pytest.mark.parametrize("entries", [160, 3 * 160 + 17])
+def test_fallback_blocks_cover_every_cut_draw(monkeypatch, entries):
+    # Blocks of one row, and of three rows with a short last block.
+    monkeypatch.setattr(simulation, "_FALLBACK_ENTRIES", entries)
+    rng = np.random.default_rng(13)
+    rows = random_rows(rng, 5, 161)
+    state = rng.integers(5, size=3001)
+    draws = rng.random(3001)
+    got = fallback_only(np.cumsum(rows, axis=1), state, draws)
+    np.testing.assert_array_equal(got, sample_rows_oracle(rows[state], draws))
 
 
 # r_bar and beta reprs recorded before the sampler rewrite; any change
