@@ -54,31 +54,15 @@ def build_max_eff_lp(process: UrgencyProcess) -> LpProblem:
     total mass one, and winner share sum_u psi[u, 0] = 0.5.
     """
     n_u = process.n_levels
-    n = 2 * n_u
-    c = np.zeros(n)
-    for u, level in enumerate(process.levels):
-        c[2 * u + 1] = -float(level)
-
-    rows = []
-    rhs = []
-    for u in range(n_u):
-        row = np.zeros(n)
-        row[2 * u] += 1.0
-        row[2 * u + 1] += 1.0
-        for u_prev in range(n_u):
-            row[2 * u_prev] -= process.phi[0, u_prev, u]
-            row[2 * u_prev + 1] -= process.phi[1, u_prev, u]
-        rows.append(row)
-        rhs.append(0.0)
-    rows.append(np.ones(n))
-    rhs.append(1.0)
-    share = np.zeros(n)
-    share[0::2] = 1.0
-    rows.append(share)
-    rhs.append(0.5)
-
+    c = np.zeros(2 * n_u)
+    c[1::2] = -process.level_values
+    # Column 2 v + o of row u: [u = v] - phi[o, v, u].
+    stationarity = np.repeat(np.eye(n_u), 2, axis=1) - process.phi.transpose(2, 1, 0).reshape(n_u, 2 * n_u)
+    share = np.tile([1.0, 0.0], n_u)
+    A = np.vstack([stationarity, np.ones(2 * n_u), share])
+    b = np.concatenate([np.zeros(n_u), [1.0, 0.5]])
     labels = [(level, o) for level in process.levels for o in (0, 1)]
-    return LpProblem(c=np.asarray(c), A=np.asarray(rows), b=np.asarray(rhs), labels=labels)
+    return LpProblem(c=c, A=A, b=b, labels=labels)
 
 
 def solve_lp(problem: LpProblem) -> tuple[float, np.ndarray]:

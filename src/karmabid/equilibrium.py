@@ -9,9 +9,9 @@ until both the exploitability and the stationarity residual pass their
 tolerances.
 
 The state transition kernel is never formed as an S x S array. A
-TransitionOperator, built once per policy evaluation, applies P (for the
-value solve and for Q) and its push-forward d P through the karma
-landing indices; no EquilibriumResult holds one. The values come from
+TransitionOperator, built once per solve_sne iteration, applies P (for
+the value solve and for Q) and its push-forward d P through the karma
+landing indices; it dies with its iteration. The values come from
 restarted GMRES, which solve_sne warm-starts by extrapolating the
 previous iterations' V and stops early while the policy is far from a
 best response (a forcing term, _FORCING).
@@ -139,9 +139,6 @@ class ValueTables:
 
     V: expected discounted reward per (u, k).
     R: expected immediate reward per (u, k).
-    transitions: matrix-free transition operator of the evaluated social
-       state, which q_function and solve_sne's push-forward reuse; None on
-       an EquilibriumResult.
     matvecs: applications of P spent on V, the final residual check
        included.
     inner_iterations: GMRES (Arnoldi) steps spent on V.
@@ -149,7 +146,6 @@ class ValueTables:
 
     V: np.ndarray
     R: np.ndarray
-    transitions: TransitionOperator | None = dataclasses.field(repr=False)
     matvecs: int = 0
     inner_iterations: int = 0
 
@@ -351,12 +347,12 @@ def _gmres(apply_a, rhs: np.ndarray, x0: np.ndarray, tol: float) -> tuple[np.nda
 
 def policy_evaluation(
     process: UrgencyProcess,
-    social: SocialState,
+    transitions: TransitionOperator,
     config: GameConfig,
     tol: float = SolverConfig.tol_value,
     initial: np.ndarray | None = None,
 ) -> ValueTables:
-    """Evaluate the shared policy: immediate rewards, transitions, and values.
+    """Immediate rewards and values of the shared policy that transitions encodes.
 
     V solves the discounted fixed-point equation (I - alpha P) V = R by
     restarted GMRES on the matrix-free transition operator, started from
@@ -368,12 +364,11 @@ def policy_evaluation(
         SolverError: if the value residual exceeds tol (carries the
             residual).
     """
-    shape = social.d.shape
+    shape = transitions.lose_weight.shape
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
         if initial.shape != shape:
             raise ParameterError(f"initial values must have shape {shape}, got {initial.shape}")
-    transitions = TransitionOperator(process, social)
     reward = -process.level_values[:, None] * transitions.lose_weight
     alpha = config.alpha
 
@@ -389,12 +384,12 @@ def policy_evaluation(
             f"policy evaluation residual {residual:.3e} exceeds tol_value {tol:.3e}",
             residual=residual,
         )
-    return ValueTables(V=values, R=reward, transitions=transitions,
-                       matvecs=matvecs + 1, inner_iterations=steps)
+    return ValueTables(V=values, R=reward, matvecs=matvecs + 1, inner_iterations=steps)
 
 
 def q_function(
     values: ValueTables,
+    transitions: TransitionOperator,
     process: UrgencyProcess,
     config: GameConfig,
 ) -> np.ndarray:
@@ -402,16 +397,15 @@ def q_function(
 
     Q is the immediate reward of bidding b plus the discounted expected
     continuation value over the outcome-mixed karma and urgency moves,
-    read through the transition operator of the same evaluation. The
+    read through the transition operator that V was evaluated on. The
     table is packed like the policy, shape (n_levels, (k_max+1)(k_max+2)/2).
     """
-    op = values.transitions
     _, balance, bid = bid_layout(values.V.shape[1] - 1)
-    z = op.continuation(values.V)
+    z = transitions.continuation(values.V)
     # xi + alpha (gamma0 z0[k - b] + gamma1 z1[k]), evaluated in that order.
-    lose = op.gamma1[bid]
+    lose = transitions.gamma1[bid]
     q = z[0].take(balance - bid, axis=1)
-    q *= op.gamma0[bid]
+    q *= transitions.gamma0[bid]
     term = per_bid(z[1])
     term *= lose
     q += term
@@ -468,7 +462,7 @@ def solve_sne(
     pair, and stops as soon as both exploitability and the stationarity
     residual meet their tolerances; otherwise the policy is mixed toward the
     softmax best response and the distribution is pushed one damped step,
-    reusing the transition operator of the evaluation. Deterministic:
+    by the operator built for the iteration's evaluation. Deterministic:
     identical inputs give bit-identical residual traces.
 
     The value solve is inexact: iteration t solves only to
@@ -543,26 +537,29 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
     def evaluate(tol: float, guess: np.ndarray | None) -> tuple[ValueTables, np.ndarray, float]:
         nonlocal matvecs, max_inner
         t0 = perf_counter()
-        values = policy_evaluation(process, social, config, tol, initial=guess)
+        values = policy_evaluation(process, transitions, config, tol, initial=guess)
         matvecs += values.matvecs
         max_inner = max(max_inner, values.inner_iterations)
         t1 = perf_counter()
-        q = q_function(values, process, config)
+        q = q_function(values, transitions, process, config)
         expl = exploitability(q, social.pi)
         stage["solve_value_seconds"] += t1 - t0
         stage["solve_q_seconds"] += perf_counter() - t1
         return values, q, expl
 
     for iterations in range(1, solver.max_outer_iters + 1):
+        t0 = perf_counter()
+        transitions = TransitionOperator(process, social)
+        stage["solve_value_seconds"] += perf_counter() - t0
         values, q, expl = evaluate(tolerance, start)
         t2 = perf_counter()
-        push = values.transitions.push(social.d)
+        push = transitions.push(social.d)
         resid = 0.5 * float(np.abs(push - social.d).sum())
         stage["solve_update_seconds"] += perf_counter() - t2
         last = iterations == solver.max_outer_iters
         if tolerance > solver.tol_value and (last or expl <= solver.tol_policy
                                              and resid <= solver.tol_distribution):
-            # Free the loose solve's operator and Q before the re-solve's.
+            # Free the loose solve's Q before the re-solve's.
             start = values.V
             del values, q
             values, q, expl = evaluate(solver.tol_value, start)
@@ -594,14 +591,14 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
         # Release this iteration's tables before the next evaluation builds
         # its own; held over, they fragment the heap and raised the peak
         # resident memory of a k_max = 160 compare by 1.3 MB.
-        del pi_new, values, q
+        del pi_new, transitions, values, q
         t5 = perf_counter()
         stage["solve_best_response_seconds"] += t4 - t3
         stage["solve_update_seconds"] += t5 - t4
 
     return EquilibriumResult(
         social=social,
-        values=dataclasses.replace(values, transitions=None),
+        values=values,
         residuals=np.asarray(trace),
         converged=converged,
         iterations=iterations,

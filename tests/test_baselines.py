@@ -44,6 +44,31 @@ class TestBuildMaxEffLp:
         np.testing.assert_allclose(psi, [0.5, 0.5], atol=1e-9)
         assert value == pytest.approx(-1.5, abs=1e-9)
 
+    @pytest.mark.parametrize("n_levels", [None, 1, 3, 4, 5])
+    def test_layout_entry_by_entry(self, case_process, n_levels):
+        # Column 2 v + o of stationarity row u holds [u = v] - phi[o, v, u];
+        # then come the mass row and the winner-share row. None is the case
+        # study, the others random chains.
+        if n_levels is None:
+            process = case_process
+        else:
+            phi = np.random.default_rng(n_levels).uniform(0.01, 1.0, (2, n_levels, n_levels))
+            process = UrgencyProcess(levels=tuple(range(1, 2 * n_levels, 2)),
+                                     phi=phi / phi.sum(axis=2, keepdims=True))
+        problem = build_max_eff_lp(process)
+        n = process.n_levels
+        assert problem.A.shape == (n + 2, 2 * n)
+        for u in range(n):
+            for v in range(n):
+                for o in (0, 1):
+                    assert problem.A[u, 2 * v + o] == (u == v) - process.phi[o, v, u]
+        for v, level in enumerate(process.levels):
+            assert problem.labels[2 * v: 2 * v + 2] == [(level, 0), (level, 1)]
+            assert list(problem.c[2 * v: 2 * v + 2]) == [0.0, -float(level)]
+            assert list(problem.A[n, 2 * v: 2 * v + 2]) == [1.0, 1.0]
+            assert list(problem.A[n + 1, 2 * v: 2 * v + 2]) == [1.0, 0.0]
+        assert list(problem.b) == [0.0] * n + [1.0, 0.5]
+
     def test_solution_is_feasible(self, case_process):
         problem = build_max_eff_lp(case_process)
         _value, psi = solve_lp(problem)

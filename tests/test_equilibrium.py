@@ -1,7 +1,6 @@
 """Equilibrium solver tests: evaluation against dense and power-iteration
 oracles, best-response limits, and convergence behavior on small games."""
 
-import dataclasses
 import gc
 import time
 import tracemalloc
@@ -22,6 +21,7 @@ from karmabid import (
     run_experiment,
     solve_sne,
 )
+from karmabid import equilibrium
 from karmabid.equilibrium import (
     TransitionOperator,
     _anneal,
@@ -95,21 +95,21 @@ class TestPolicyEvaluation:
         rng = np.random.default_rng(1)
         social = make_random_social(rng, case_process.n_levels, 8)
         config = GameConfig(alpha=0.0, k_bar=4, k_max=8)
-        values = policy_evaluation(case_process, social, config)
+        values = policy_evaluation(case_process, TransitionOperator(case_process, social), config)
         np.testing.assert_allclose(values.V, values.R, rtol=0, atol=1e-14)
 
     def test_zero_valuation_gives_zero_values(self):
         proc = zero_level_process()
         config = GameConfig(k_bar=2, k_max=4)
         social = initial_social_state(proc, config)
-        values = policy_evaluation(proc, social, config)
+        values = policy_evaluation(proc, TransitionOperator(proc, social), config)
         np.testing.assert_allclose(values.V, 0.0, atol=1e-12)
 
     def test_uniform_policy_matches_oracle_solve(self, case_process, case_config):
         # Independent route: rewards and kernel rebuilt by loops, values by
         # successive approximation instead of the library's direct solve.
         social = initial_social_state(case_process, case_config)
-        values = policy_evaluation(case_process, social, case_config)
+        values = policy_evaluation(case_process, TransitionOperator(case_process, social), case_config)
         reward_oracle = rewards_oracle(case_process, social)
         kernel_o = kernel_oracle(case_process, social)
         v_oracle = value_iteration_oracle(reward_oracle, kernel_o, case_config.alpha)
@@ -124,33 +124,50 @@ class TestPolicyEvaluation:
     def test_residual_contract_raises_with_residual(self, case_process, case_config):
         # No iterate reaches 1e-300, so this also checks that the capped
         # iterative solve gives up in bounded time.
-        social = initial_social_state(case_process, case_config)
+        op = TransitionOperator(case_process, initial_social_state(case_process, case_config))
         start = time.perf_counter()
         with pytest.raises(SolverError) as err:
-            policy_evaluation(case_process, social, case_config, 1e-300)
+            policy_evaluation(case_process, op, case_config, 1e-300)
         assert err.value.residual > 0
         assert time.perf_counter() - start < 30.0
 
     def test_warm_start_matches_cold_start(self, case_process, case_config):
         rng = np.random.default_rng(4)
         social = make_random_social(rng, case_process.n_levels, case_config.k_max)
-        cold = policy_evaluation(case_process, social, case_config)
+        op = TransitionOperator(case_process, social)
+        cold = policy_evaluation(case_process, op, case_config)
         arbitrary = 100.0 * rng.standard_normal(social.d.shape)
-        warm = policy_evaluation(case_process, social, case_config, initial=arbitrary)
+        warm = policy_evaluation(case_process, op, case_config, initial=arbitrary)
         np.testing.assert_allclose(warm.V, cold.V, rtol=0, atol=1e-8)
 
     def test_non_finite_start_raises(self, case_process, case_config):
         social = initial_social_state(case_process, case_config)
         with pytest.raises(SolverError):
-            policy_evaluation(case_process, social, case_config,
+            policy_evaluation(case_process, TransitionOperator(case_process, social), case_config,
                               initial=np.full(social.d.shape, np.nan))
 
     def test_rejects_misshapen_initial(self, case_process, case_config):
         social = initial_social_state(case_process, case_config)
         n_u, nk = social.d.shape
+        op = TransitionOperator(case_process, social)
         for shape in ((nk, n_u), (n_u, nk - 1)):
             with pytest.raises(ParameterError, match="initial"):
-                policy_evaluation(case_process, social, case_config, initial=np.zeros(shape))
+                policy_evaluation(case_process, op, case_config, initial=np.zeros(shape))
+
+    def test_restarted_gmres_meets_the_contract(self, case_process, case_config, case_equilibrium,
+                                                monkeypatch):
+        # No workload restarts GMRES: the longest value solve seen takes 89
+        # steps, under the 100 of one cycle. With cycles of 4 steps the
+        # case-study equilibrium's solve takes 179 steps instead of 42; more
+        # steps than one cycle holds means it restarted.
+        op = TransitionOperator(case_process, case_equilibrium.social)
+        whole = policy_evaluation(case_process, op, case_config)
+        monkeypatch.setattr(equilibrium, "_GMRES_RESTART", 4)
+        restarted = policy_evaluation(case_process, op, case_config)
+        assert restarted.inner_iterations > 4
+        backup = restarted.R + case_config.alpha * op.apply(restarted.V)
+        assert np.abs(restarted.V - backup).max() <= SolverConfig().tol_value
+        np.testing.assert_allclose(restarted.V, whole.V, rtol=0, atol=1e-8)
 
     def test_peak_memory_stays_below_dense_kernel(self, case_process):
         # A dense S x S float kernel at k_max = 160 alone takes S^2 * 8 bytes.
@@ -159,7 +176,7 @@ class TestPolicyEvaluation:
         size = social.d.size
         tracemalloc.start()
         try:
-            policy_evaluation(case_process, social, config)
+            policy_evaluation(case_process, TransitionOperator(case_process, social), config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -171,8 +188,9 @@ class TestQFunction:
         rng = np.random.default_rng(2)
         social = make_random_social(rng, case_process.n_levels, 8)
         config = GameConfig(alpha=0.0, k_bar=4, k_max=8)
-        values = policy_evaluation(case_process, social, config)
-        q = unpack(q_function(values, case_process, config))
+        op = TransitionOperator(case_process, social)
+        values = policy_evaluation(case_process, op, config)
+        q = unpack(q_function(values, op, case_process, config))
         nu = bid_marginal(social)
         xi = -np.outer(case_process.level_values, 1.0 - win_prob_all_bids(nu))
         for k in range(9):
@@ -180,10 +198,8 @@ class TestQFunction:
 
     def test_infeasible_bids_absent(self, case_process, case_config, case_equilibrium):
         # The packed table has exactly one finite entry per feasible bid.
-        values = dataclasses.replace(
-            case_equilibrium.values,
-            transitions=TransitionOperator(case_process, case_equilibrium.social))
-        q = q_function(values, case_process, case_config)
+        op = TransitionOperator(case_process, case_equilibrium.social)
+        q = q_function(case_equilibrium.values, op, case_process, case_config)
         nk = case_config.k_max + 1
         assert q.shape == (case_process.n_levels, nk * (nk + 1) // 2)
         assert np.isfinite(q).all()
@@ -191,16 +207,18 @@ class TestQFunction:
     def test_spot_state_matches_bruteforce(self, case_process, case_config):
         rng = np.random.default_rng(3)
         social = make_random_social(rng, case_process.n_levels, case_config.k_max)
-        values = policy_evaluation(case_process, social, case_config)
-        q = unpack(q_function(values, case_process, case_config))
+        op = TransitionOperator(case_process, social)
+        values = policy_evaluation(case_process, op, case_config)
+        q = unpack(q_function(values, op, case_process, case_config))
         spot = q_oracle(case_process, social, values.V, case_config.alpha, u=4, k=10)
         np.testing.assert_allclose(q[4, 10, :11], spot, atol=1e-9)
 
     def test_full_table_matches_bruteforce(self, small_game):
         process, config = small_game
         social = make_random_social(np.random.default_rng(19), process.n_levels, config.k_max)
-        values = policy_evaluation(process, social, config)
-        q = unpack(q_function(values, process, config), fill=np.nan)
+        op = TransitionOperator(process, social)
+        values = policy_evaluation(process, op, config)
+        q = unpack(q_function(values, op, process, config), fill=np.nan)
         for u in range(process.n_levels):
             for k in range(config.k_max + 1):
                 row = q_oracle(process, social, values.V, config.alpha, u=u, k=k)
@@ -490,6 +508,22 @@ class TestSolveSne:
         assert result.iterations == 30
         assert result.residuals.shape == (30, 2)
 
+    def test_builds_one_transition_operator_per_iteration(self, small_game, monkeypatch):
+        # The closing re-solve of the last allowed iteration, on a loose
+        # value solve, reuses that iteration's operator.
+        process, config = small_game
+        builds = []
+
+        class Counted(TransitionOperator):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(equilibrium, "TransitionOperator", Counted)
+        result = solve_sne(process, config, SolverConfig(max_outer_iters=30))
+        assert result.iterations == 30 and result.coarse_k_max is None
+        assert len(builds) == 30
+
     @pytest.mark.parametrize("solve", ["case_equilibrium", "fine_solve"])
     def test_result_holds_no_transition_operator(self, solve, request):
         # Without and with a coarse stage: the operator, the largest table
@@ -506,7 +540,7 @@ class TestSolveSne:
             seen.add(id(obj))
             assert not isinstance(obj, TransitionOperator)
             stack.extend(gc.get_referents(obj))
-        assert result.values.transitions is None and result.values.R.shape == result.social.d.shape
+        assert result.values.R.shape == result.social.d.shape
 
     def test_value_monotonicity_at_equilibrium(self, case_equilibrium):
         v = case_equilibrium.values.V
@@ -514,8 +548,9 @@ class TestSolveSne:
         assert (np.diff(v, axis=1) >= -1e-8).all()  # more karma, weakly higher value
 
     def test_exploitability_helper_agrees_with_trace(self, case_process, case_config, case_equilibrium):
-        values = policy_evaluation(case_process, case_equilibrium.social, case_config)
-        q = q_function(values, case_process, case_config)
+        op = TransitionOperator(case_process, case_equilibrium.social)
+        values = policy_evaluation(case_process, op, case_config)
+        q = q_function(values, op, case_process, case_config)
         again = exploitability(q, case_equilibrium.social.pi)
         assert again == pytest.approx(case_equilibrium.exploitability, abs=1e-12)
 

@@ -190,7 +190,8 @@ class TestImmediateReward:
         d = np.zeros((2, 6))
         d[:, 3] = 0.5
         social = SocialState(d=d, pi=point_policy(2, 5, lambda k: k))
-        return policy_evaluation(process, social, GameConfig(k_bar=2, k_max=5)).R
+        return policy_evaluation(process, TransitionOperator(process, social),
+                                 GameConfig(k_bar=2, k_max=5)).R
 
     def test_certain_loss(self):
         assert self.rewards()[1, 0] == -16.0
@@ -290,9 +291,10 @@ class TestStateTransition:
         rng = np.random.default_rng(3)
         config = GameConfig(k_bar=6, k_max=12)
         social = make_random_social(rng, case_process.n_levels, config.k_max)
-        values = policy_evaluation(case_process, social, config)
+        op = TransitionOperator(case_process, social)
+        values = policy_evaluation(case_process, op, config)
         values = dataclasses.replace(values, V=rng.standard_normal(social.d.shape))
-        q = unpack(q_function(values, case_process, config))
+        q = unpack(q_function(values, op, case_process, config))
         lose = 1.0 - win_prob_all_bids(bid_marginal(social))
         for _ in range(8):
             u = int(rng.integers(case_process.n_levels))
@@ -452,7 +454,7 @@ class TestRandomizedInvariants:
         config = GameConfig(k_bar=3, k_max=6)
         for _ in range(10):
             social = make_random_social(rng, process.n_levels, config.k_max)
-            reward = policy_evaluation(process, social, config).R
+            reward = policy_evaluation(process, TransitionOperator(process, social), config).R
             assert (-process.level_values[:, None] <= reward).all() and (reward <= 0.0).all()
 
     def test_transition_continuity_in_policy(self, case_process):
