@@ -16,10 +16,16 @@ restarted GMRES, which solve_sne warm-starts by extrapolating the
 previous iterations' V and stops early while the policy is far from a
 best response (a forcing term, _FORCING).
 
+Karma is conserved, as in the simulator, which has no cap and
+redistributes the pool integer-exactly. Balances here stop at k_max, so
+the operator grants back not the average payment but the amount that
+keeps the mean karma of its d: the average payment wherever no balance
+can overflow, more where one would.
+
 A karma space much wider than its equilibrium needs is solved by nested
 iteration (Briggs, Henson & McCormick 2000): solve_sne solves k_max = 4 k_bar
-first and, once that converged, embeds it (no mass above, higher balances
-bid as its top one, V flat) and refines it from temperature_floor.
+first, embeds its result (no mass above, higher balances bid as its top
+one, V flat) and refines it from temperature_floor.
 
 Layout conventions: private states are (urgency index u, karma k) with
 karma truncated to {0, ..., k_max}; flat state index is u * (k_max+1) + k.
@@ -58,7 +64,6 @@ from .model import (
     ParameterError,
     SocialState,
     UrgencyProcess,
-    average_payment,
     bid_marginal,
     bid_layout,
     check_fields,
@@ -158,8 +163,9 @@ class EquilibriumResult:
     (stationarity residual in total variation, exploitability), both
     measured on the social state entering that iteration. value_matvecs
     counts the applications of P over all value solves, and
-    max_inner_iterations is the most GMRES steps one value solve took;
-    both, like timings, include a dropped coarse stage (solve_sne).
+    max_inner_iterations is the most GMRES steps one value solve took.
+    These counts, like iterations, residuals and timings, cover both
+    stages of a coarse-started solve (solve_sne).
     predicted_r_bar is the mean-field long-run reward d . R, and
     equilibrium_fingerprint names the selected equilibrium: the sha256 of
     the int64 most likely bid of every state holding mass above 1e-6, in
@@ -240,7 +246,9 @@ class TransitionOperator:
     moves by phi[outcome] and the balance moves from j to landing[j] =
     j + low with weight landing_weight[j] = f_low, or to landing[nk + j] =
     j + high with f_high (apply and push share this table), with overflow
-    above k_max folded into k_max, so every row of P sums to one.
+    above k_max landing at k_max, so every row of P sums to one. The grant
+    f_low low + f_high high keeps the mean karma of d; the mean after a
+    grant of m is linear between integers, so interpolating it is exact.
     karma_win[u, k, j] is the probability of winning and keeping j, zero
     for j > k: one scatter of the packed policy through model.bid_layout
     into a square table, so that BLAS applies it; lose_weight[u, k] is the
@@ -251,17 +259,22 @@ class TransitionOperator:
     def __init__(self, process: UrgencyProcess, social: SocialState):
         n_u, nk = social.d.shape
         self.phi = process.phi
-        nu = bid_marginal(social)
-        self.gamma0 = win_prob_all_bids(nu)
+        self.gamma0 = win_prob_all_bids(bid_marginal(social))
         self.gamma1 = 1.0 - self.gamma0
-        low, high, f_low, f_high = redistribution_split(average_payment(social, nu))
-        ks = np.arange(nk)
-        self.landing = np.minimum(np.concatenate([ks + low, ks + high]), nk - 1)
-        self.landing_weight = np.repeat([f_low, f_high], nk)
         starts, balance, bid = bid_layout(nk - 1)
         self.karma_win = np.zeros((n_u, nk, nk))
         self.karma_win[:, balance, balance - bid] = social.pi * self.gamma0[bid]
         self.lose_weight = np.add.reduceat(social.pi * self.gamma1[bid], starts, axis=1)
+        # paid[j]: mass of d at balance j after payment; after[m]: its mean
+        # once every balance gains m under the cap, which rises from m to
+        # m + 1 by the mass still below k_max - m.
+        paid = (social.d[:, None, :] @ self.karma_win).sum(axis=(0, 1))
+        paid += (social.d * self.lose_weight).sum(axis=0)
+        ks = np.arange(nk)
+        after = paid @ ks + np.concatenate(([0.0], np.cumsum(np.cumsum(paid)[-2::-1])))
+        low, high, f_low, f_high = redistribution_split(float(np.interp(social.mean_karma, after, ks)))
+        self.landing = np.minimum(np.concatenate([ks + low, ks + high]), nk - 1)
+        self.landing_weight = np.repeat([f_low, f_high], nk)
 
     def continuation(self, values: np.ndarray) -> np.ndarray:
         """z[o, u, j]: expected V(u', k') after outcome o from urgency u with
@@ -473,13 +486,13 @@ def solve_sne(
     always rest on a solve to tol_value.
 
     When k_bar >= 1 and k_max > 4 k_bar, a coarse stage (module docstring)
-    runs first, and the full space is refined from its equilibrium, even
-    one holding mass at its k_max. A coarse stage that did not converge is
-    dropped and the full space annealed alone: at k_bar = 1, k_max = 8,
-    refining it selects another equilibrium than the direct solve. Each
-    stage runs at most max_outer_iters. The work counts and timings cover
-    every stage that ran; iterations and residuals (coarse rows first)
-    only the stages that led to the result.
+    runs first, and the full space is always refined from its last social
+    state, even one holding mass at its k_max. The two stages share
+    max_outer_iters: the refinement gets what the coarse stage left, and
+    at least one iteration, so a coarse stage that spent them all is
+    returned, unconverged, after one evaluation of the full space.
+    iterations, residuals (coarse rows first), the work counts and the
+    timings cover both stages.
 
     Non-convergence is reported through converged=False on the result,
     never as an exception.
@@ -489,15 +502,13 @@ def solve_sne(
     if config.k_bar < 1 or config.k_max <= coarse_k_max:
         return _anneal(process, config, solver)
     coarse = _anneal(process, dataclasses.replace(config, k_max=coarse_k_max), solver)
-    if coarse.converged:
-        pad = ((0, 0), (0, config.k_max - coarse_k_max))
-        result = _anneal(process, config, solver, _embed(coarse.social, config.k_max),
-                         solver.temperature_floor, np.pad(coarse.values.V, pad, "edge"))
-        result.residuals = np.concatenate([coarse.residuals, result.residuals])
-        result.iterations += coarse.iterations
-        result.coarse_k_max, result.coarse_iterations = coarse_k_max, coarse.iterations
-    else:
-        result = _anneal(process, config, solver)
+    fine = dataclasses.replace(solver, max_outer_iters=max(1, solver.max_outer_iters - coarse.iterations))
+    pad = ((0, 0), (0, config.k_max - coarse_k_max))
+    result = _anneal(process, config, fine, _embed(coarse.social, config.k_max),
+                     solver.temperature_floor, np.pad(coarse.values.V, pad, "edge"))
+    result.residuals = np.concatenate([coarse.residuals, result.residuals])
+    result.iterations += coarse.iterations
+    result.coarse_k_max, result.coarse_iterations = coarse_k_max, coarse.iterations
     result.value_matvecs += coarse.value_matvecs
     result.max_inner_iterations = max(result.max_inner_iterations, coarse.max_inner_iterations)
     result.timings = {name: t + coarse.timings[name] for name, t in result.timings.items()}

@@ -315,29 +315,17 @@ def win_prob_all_bids(nu: np.ndarray) -> np.ndarray:
     return below + 0.5 * nu
 
 
-def average_payment(social: SocialState, nu: np.ndarray | None = None) -> float:
-    """Population-average payment collected per interaction.
-
-    Each agent pays its bid when it wins, nothing otherwise; the average
-    of gamma0[b] * b over the social state, sum_b nu[b] gamma0[b] b, is
-    the per-capita pool that gets redistributed. nu is the social state's
-    bid marginal, for a caller that already has it.
-    """
-    nu = bid_marginal(social) if nu is None else nu
-    return float(nu @ (win_prob_all_bids(nu) * np.arange(nu.shape[0])))
-
-
-def redistribution_split(p_bar: float) -> tuple[int, int, float, float]:
-    """Integer split of the average payment.
+def redistribution_split(grant: float) -> tuple[int, int, float, float]:
+    """Integer split of the karma grant every agent receives on average.
 
     Returns (low, high, f_low, f_high): a fraction f_low of agents
-    receives the floor of p_bar, the rest receive the ceiling, so the
-    expectation equals p_bar exactly. For integral p_bar the two branches
-    coincide and f_low is zero.
+    receives the floor of grant, the rest receive the ceiling, so the
+    expectation equals grant exactly. For an integral grant the two
+    branches coincide and f_low is zero.
     """
-    if p_bar < 0:
-        raise ParameterError(f"average payment must be nonnegative, got {p_bar}")
-    low = int(np.floor(p_bar))
-    high = int(np.ceil(p_bar))
-    f_low = float(high - p_bar)
+    if grant < 0:
+        raise ParameterError(f"grant must be nonnegative, got {grant}")
+    low = int(np.floor(grant))
+    high = int(np.ceil(grant))
+    f_low = float(high - grant)
     return low, high, f_low, 1.0 - f_low

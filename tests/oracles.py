@@ -4,7 +4,7 @@ Everything here recomputes quantities from first principles with plain
 loops and elementary arithmetic, deliberately avoiding the library's
 vectorized code paths. numpy appears only as a calculator (matvec,
 linear solve on oracle-built systems). Population-level quantities (bid
-marginal, win probabilities, average payment) are hoisted once per
+marginal, win probabilities, redistribution grant) are hoisted once per
 social state so oracle-built kernels stay affordable.
 """
 
@@ -86,6 +86,43 @@ def average_payment_oracle(social: SocialState) -> float:
     return total
 
 
+# grant_oracle's results by social state (d and pi bytes): a memo of a
+# pure function, so no caller sees another's state.
+_GRANTS: dict[tuple[bytes, bytes], float] = {}
+
+
+def grant_oracle(social: SocialState) -> float:
+    """The redistribution grant that keeps the mean karma: the g in
+    [0, k_max] under which karma_transition_oracle's capped law leaves the
+    mean balance where it was, by bisection (that mean does not fall as g
+    grows). Computed once per social state."""
+    key = (social.d.tobytes(), social.pi.tobytes())
+    if key not in _GRANTS:
+        win = _win_prob_table(bid_marginal_oracle(social))
+        pi = unpack(social.pi)
+        moves: dict[tuple[int, int, int], float] = {}  # (k, b, outcome): mass
+        target = 0.0
+        for u in range(social.n_levels):
+            for k in range(social.k_max + 1):
+                target += social.d[u, k] * k
+                for b in range(k + 1):
+                    for o, gamma in ((0, win[b]), (1, 1.0 - win[b])):
+                        moves[k, b, o] = moves.get((k, b, o), 0.0) + social.d[u, k] * pi[u, k, b] * gamma
+
+        def mean_after(grant: float) -> float:
+            return sum(mass * frac * k_next for (k, b, o), mass in moves.items()
+                       for k_next, frac in karma_transition_oracle(k, b, o, grant, social.k_max).items())
+
+        lo, hi = 0.0, float(social.k_max)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if mean_after(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        _GRANTS[key] = mid
+    return _GRANTS[key]
+
+
 def sample_rows_oracle(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Inverse-CDF sample, one categorical row per draw: the number of
     cumulative sums strictly below the draw, clamped to the last column."""
@@ -94,17 +131,18 @@ def sample_rows_oracle(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.minimum(idx, rows.shape[1] - 1)
 
 
-def karma_transition_oracle(k: int, b: int, o: int, p_bar: float, k_max: int) -> dict[int, float]:
+def karma_transition_oracle(k: int, b: int, o: int, grant: float, k_max: int) -> dict[int, float]:
     """Next-balance distribution after bidding b from balance k with
     outcome o (0 won, 1 lost): the winner pays b, everyone receives the
-    floor or the ceiling of p_bar, and balances above k_max fold into it."""
+    floor or the ceiling of grant, in proportions whose mean is grant,
+    and balances above k_max fold into it."""
     if b > k:
         raise ValueError(f"bid {b} exceeds karma balance {k}")
     if o not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {o}")
-    low = math.floor(p_bar)
-    high = math.ceil(p_bar)
-    f_low = high - p_bar
+    low = math.floor(grant)
+    high = math.ceil(grant)
+    f_low = high - grant
     f_high = 1.0 - f_low
     paid = b if o == 0 else 0
     out: dict[int, float] = {}
@@ -120,7 +158,7 @@ def _rho_oracle(
     process: UrgencyProcess,
     k_max: int,
     win: list[float],
-    p_bar: float,
+    grant: float,
     u: int,
     k: int,
     b: int,
@@ -128,7 +166,7 @@ def _rho_oracle(
     gamma = {0: win[b], 1: 1.0 - win[b]}
     rho = np.zeros((process.n_levels, k_max + 1))
     for o in (0, 1):
-        kappa = karma_transition_oracle(k, b, o, p_bar, k_max)
+        kappa = karma_transition_oracle(k, b, o, grant, k_max)
         for k_next, k_mass in kappa.items():
             for u_next in range(process.n_levels):
                 rho[u_next, k_next] += gamma[o] * k_mass * process.phi[o, u, u_next]
@@ -141,8 +179,8 @@ def state_transition_oracle(
     """Triple sum over outcomes, redistribution branches, and next levels."""
     nu = bid_marginal_oracle(social)
     win = _win_prob_table(nu)
-    p_bar = average_payment_oracle(social)
-    return _rho_oracle(process, social.k_max, win, p_bar, u, k, b)
+    grant = grant_oracle(social)
+    return _rho_oracle(process, social.k_max, win, grant, u, k, b)
 
 
 def rewards_oracle(process: UrgencyProcess, social: SocialState) -> np.ndarray:
@@ -163,7 +201,7 @@ def kernel_oracle(process: UrgencyProcess, social: SocialState) -> np.ndarray:
     """Policy-induced state kernel, built state by state."""
     nu = bid_marginal_oracle(social)
     win = _win_prob_table(nu)
-    p_bar = average_payment_oracle(social)
+    grant = grant_oracle(social)
     nk = social.k_max + 1
     n_u = process.n_levels
     pi = unpack(social.pi)
@@ -175,7 +213,7 @@ def kernel_oracle(process: UrgencyProcess, social: SocialState) -> np.ndarray:
             for b in range(k + 1):
                 if pi[u, k, b] == 0.0:
                     continue
-                row += pi[u, k, b] * _rho_oracle(process, social.k_max, win, p_bar, u, k, b)
+                row += pi[u, k, b] * _rho_oracle(process, social.k_max, win, grant, u, k, b)
             kernel[u * nk + k] = row.ravel()
     return kernel
 
@@ -205,10 +243,10 @@ def q_oracle(
     """One-step deviation values at a single state, expanded by loops."""
     nu = bid_marginal_oracle(social)
     win = _win_prob_table(nu)
-    p_bar = average_payment_oracle(social)
+    grant = grant_oracle(social)
     out = np.empty(k + 1)
     for b in range(k + 1):
-        rho = _rho_oracle(process, social.k_max, win, p_bar, u, k, b)
+        rho = _rho_oracle(process, social.k_max, win, grant, u, k, b)
         cont = 0.0
         for u_next in range(process.n_levels):
             for k_next in range(social.k_max + 1):

@@ -334,7 +334,7 @@ class TestStationaryDistributionStep:
         for _ in range(5):
             stepped = push_step(case_process, social, step_size=0.2)
             assert abs(stepped.d.sum() - 1.0) <= 1e-12
-            assert abs(stepped.mean_karma - social.mean_karma) <= 1e-6
+            assert abs(stepped.mean_karma - social.mean_karma) <= 1e-12
             social = stepped
 
     def test_rejects_bad_step_size(self):
@@ -381,9 +381,10 @@ class TestTransitionKernel:
         assert (TransitionOperator(case_process, social).landing_weight[:nk] == 0.0).all()
         assert_operator_matches_oracle(case_process, social, seed=16)
 
-    def test_overflow_folds_into_k_max(self, case_process):
-        # Mass at the top balance: losers receive p_bar > 0 and would land
-        # above k_max, so the push-forward must keep it at k_max.
+    def test_overflow_keeps_mean_karma(self, case_process):
+        # Mass at the top balance: losers receive a grant > 0 and would land
+        # above k_max. The push-forward keeps them at k_max and grants more,
+        # so that d's mean karma is kept.
         rng = np.random.default_rng(17)
         nk = 6
         d = np.zeros((case_process.n_levels, nk))
@@ -394,6 +395,8 @@ class TestTransitionKernel:
         push = TransitionOperator(case_process, social).push(social.d)
         assert push[:, -1].sum() > 0.0
         assert abs(push.sum() - 1.0) <= 1e-12
+        pushed = SocialState(d=push, pi=social.pi)
+        assert pushed.mean_karma == pytest.approx(social.mean_karma, rel=0, abs=1e-12)
         assert_operator_matches_oracle(case_process, social, seed=18)
 
 
@@ -422,7 +425,16 @@ class TestSolveSne:
         assert result.iterations <= case_config.k_max * 1000  # sanity, real bound below
         assert result.exploitability <= 1e-4
         assert result.stationarity_residual <= 1e-6
-        assert result.social.mean_karma == pytest.approx(case_config.k_bar, abs=0.01)
+        assert result.social.mean_karma == pytest.approx(case_config.k_bar, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("k_bar, k_max, iterations", [(1, 4, 524), (2, 8, 729)])
+    def test_karma_at_the_cap_is_conserved(self, case_process, k_bar, k_max, iterations):
+        # Both games hold mass at their cap (1.5e-2 at (1, 4)). Granting the
+        # bare average payment there loses karma every step, and d never
+        # becomes stationary.
+        result = solve_sne(case_process, GameConfig(k_bar=k_bar, k_max=k_max))
+        assert result.converged and result.iterations == iterations
+        assert abs(result.social.mean_karma - k_bar) <= 1e-12
 
     def test_residual_trace_invariants(self, case_equilibrium):
         trace = case_equilibrium.residuals
@@ -440,23 +452,27 @@ class TestSolveSne:
     def test_warm_start_keeps_value_solves_short(self, case_equilibrium):
         # Deterministic count: starting each GMRES from the quadratic
         # extrapolation 3 (V(t-1) - V(t-2)) + V(t-3) and solving only to
-        # max(tol_value, 1e-3 * the last exploitability) takes 5756
+        # max(tol_value, 1e-3 * the last exploitability) takes 5731
         # applications of P on the case study. Solving every iteration to
-        # tol_value took 10372, the linear start 12288 and V(t-1) alone 13980.
+        # tol_value takes 10325; the linear start 12288 and V(t-1) alone 13980.
         assert case_equilibrium.value_matvecs <= 5_800
 
-    @pytest.mark.parametrize("max_outer_iters", [None, 30])
+    @pytest.mark.parametrize("max_outer_iters, k_max", [(None, 40), (30, 40), (30, 160)])
     def test_returned_values_meet_tol_value(self, case_process, case_config, case_equilibrium,
-                                            max_outer_iters):
+                                            max_outer_iters, k_max):
         # Iterations far from equilibrium solve loosely; whatever the solve
         # returns, converged or stopped at max_outer_iters, must still meet
-        # tol_value in sup norm.
+        # tol_value in sup norm. At k_max = 160 the coarse stage spends all
+        # 30 iterations and the full space gets one evaluation.
         if max_outer_iters is None:
             result = case_equilibrium
         else:
-            result = solve_sne(case_process, case_config, SolverConfig(max_outer_iters=max_outer_iters))
-            assert not result.converged
-            assert result.exploitability > 1e-6  # so its last solve started loose
+            config = GameConfig(k_max=k_max)
+            result = solve_sne(case_process, config, SolverConfig(max_outer_iters=max_outer_iters))
+            assert not result.converged and result.social.k_max == k_max
+            # Far from equilibrium, so the last solve started loose, unless it
+            # was the full space's first.
+            assert result.exploitability > 1e-6
         values = result.values
         transitions = TransitionOperator(case_process, result.social)
         backup = values.R + case_config.alpha * transitions.apply(values.V)
@@ -468,7 +484,7 @@ class TestSolveSne:
         # another fails here by name. Values recorded with every value
         # solve run to tol_value and the square policy layout.
         summary = case_equilibrium.summary()
-        assert summary["predicted_r_bar"] == pytest.approx(-0.6746328362884504, rel=0, abs=1e-9)
+        assert summary["predicted_r_bar"] == pytest.approx(-0.6746328330508291, rel=0, abs=1e-9)
         assert int((case_equilibrium.social.d > 1e-6).sum()) == 119
         assert summary["equilibrium_fingerprint"] == (
             "77b50543b02da145a50c93115b3a18c83aee1102ebfc4f684aedf0b5b78814a2")
@@ -570,7 +586,7 @@ def fine_solve(case_process):
 class TestCoarseStage:
     def test_fine_solve_starts_from_the_coarse_equilibrium(self, fine_solve):
         # 456 coarse iterations at k_max = 40, as in the case study, then 31
-        # on the full space, with 6986 applications of P in all; the direct
+        # on the full space, with 6936 applications of P in all; the direct
         # solve took 456 iterations and 10722 applications.
         result, _ = fine_solve
         summary = result.summary()
@@ -581,9 +597,9 @@ class TestCoarseStage:
         assert summary["mass_at_k_max"] < 1e-6
         assert summary["equilibrium_fingerprint"] == (
             "77b50543b02da145a50c93115b3a18c83aee1102ebfc4f684aedf0b5b78814a2")
-        # The case study's pin, -0.6746328363, moved by 1.3e-7.
-        assert summary["predicted_r_bar"] == pytest.approx(-0.6746329661561987, rel=0, abs=1e-9)
-        assert abs(summary["predicted_r_bar"] - -0.6746328362884504) <= 1e-6
+        # The case study's pin, -0.6746328331, moved by 1.3e-7.
+        assert summary["predicted_r_bar"] == pytest.approx(-0.6746329629247669, rel=0, abs=1e-9)
+        assert abs(summary["predicted_r_bar"] - -0.6746328330508291) <= 1e-6
 
     def test_fine_solve_peak_memory(self, fine_solve):
         # Reads 4.33 units on numpy 2.4, against 4.27 for the direct solve.
@@ -626,20 +642,26 @@ class TestCoarseStage:
         # reaches in 819.
         result = solve_sne(case_process, GameConfig(k_bar=3, k_max=30))
         assert result.converged
-        assert (result.coarse_k_max, result.coarse_iterations, result.iterations) == (12, 820, 844)
+        assert (result.coarse_k_max, result.coarse_iterations, result.iterations) == (12, 819, 843)
         assert result.equilibrium_fingerprint.startswith("dad8e872")
 
-    def test_unconverged_coarse_stage_falls_back(self, case_process):
-        # The coarse stage at k_max = 4 runs all 2000 iterations. Refining
-        # its last state would select 24c4aac1 (predicted r_bar -1.330); the
-        # full space annealed from the start selects adaef604 (-1.287).
+    def test_coarse_stage_at_k_bar_one_converges(self, case_process):
+        # The coarse stage at k_max = 4 holds 1.5e-2 at its cap and converges
+        # because the grant keeps its mean karma. Refined, it selects what
+        # the direct anneal selects.
         result = solve_sne(case_process, GameConfig(k_bar=1, k_max=8))
         assert result.converged
-        assert (result.coarse_k_max, result.coarse_iterations, result.iterations) == (None, 0, 543)
+        assert (result.coarse_k_max, result.coarse_iterations, result.iterations) == (4, 524, 985)
         assert result.equilibrium_fingerprint.startswith("adaef604")
-        # The dropped stage's work still counts: 20111 applications of P
-        # beside the direct anneal's 6397.
-        assert result.value_matvecs == 26_508
+
+    def test_unconverged_coarse_stage_is_the_result(self, case_process):
+        # The two stages share max_outer_iters: a coarse stage that spends
+        # them all leaves the full space one evaluation, and is returned as
+        # the unconverged result on the full space.
+        result = solve_sne(case_process, GameConfig(k_max=160), SolverConfig(max_outer_iters=30))
+        assert not result.converged and result.social.k_max == 160
+        assert (result.coarse_k_max, result.coarse_iterations, result.iterations) == (40, 30, 31)
+        assert result.residuals.shape == (31, 2)
 
 
 class TestWritePolicyCsv:

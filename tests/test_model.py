@@ -15,11 +15,12 @@ from karmabid import (
 )
 from karmabid.config import setup_from_mapping
 from karmabid.equilibrium import TransitionOperator, policy_evaluation, q_function
-from karmabid.model import average_payment, bid_marginal, win_prob_all_bids
+from karmabid.model import bid_marginal, win_prob_all_bids
 from conftest import make_random_social
 from oracles import (
     average_payment_oracle,
     bid_marginal_oracle,
+    grant_oracle,
     karma_transition_oracle,
     outcome_probability,
     pack,
@@ -203,36 +204,63 @@ class TestImmediateReward:
         assert self.rewards()[0, 3] == -2.0
 
 
-class TestAveragePayment:
+def any_process(n_levels: int) -> UrgencyProcess:
+    """An urgency chain of n_levels levels; the karma moves do not read it."""
+    return UrgencyProcess(levels=tuple(range(n_levels)), phi=np.full((2, n_levels, n_levels), 1 / n_levels))
+
+
+def operator_grant(social: SocialState) -> float:
+    """The grant of the social state's operator, f_low low + f_high high,
+    read from balance 0's landings, which the cap never reaches."""
+    op = TransitionOperator(any_process(social.n_levels), social)
+    nk = social.k_max + 1
+    return float(op.landing_weight[0] * op.landing[0] + op.landing_weight[nk] * op.landing[nk])
+
+
+def assert_push_keeps_mean_karma(process: UrgencyProcess, social: SocialState) -> None:
+    pushed = SocialState(d=TransitionOperator(process, social).push(social.d), pi=social.pi)
+    assert pushed.mean_karma == pytest.approx(social.mean_karma, rel=0, abs=1e-12)
+
+
+class TestRedistributionGrant:
+    """The operator grants the average payment p_bar where no balance can
+    overflow, and more where the cap would fold karma away, so that the
+    push keeps the mean karma."""
+
     def test_all_zero_bids(self):
         d = np.full((2, 4), 1 / 8)
         social = SocialState(d=d, pi=point_policy(2, 3, lambda k: 0))
-        assert average_payment(social) == 0.0
+        assert operator_grant(social) == 0.0 == average_payment_oracle(social)
 
     def test_single_state_bid_four(self):
         d = np.zeros((1, 5))
         d[0, 4] = 1.0
         social = SocialState(d=d, pi=point_policy(1, 4, lambda k: 4))
-        # everyone bids 4, so a bid of 4 wins half the time
-        assert average_payment(social) == pytest.approx(2.0, abs=1e-12)
+        # everyone bids 4, so a bid of 4 wins half the time: p_bar = 2. The
+        # losers stay at the cap whatever they receive, so the winners must
+        # get all 4 back.
+        assert average_payment_oracle(social) == pytest.approx(2.0, abs=1e-12)
+        assert operator_grant(social) == pytest.approx(4.0, rel=0, abs=1e-12)
+        assert_push_keeps_mean_karma(any_process(1), social)
 
     def test_two_state_example_matches_bruteforce(self):
         d = np.zeros((1, 6))
         d[0, 1] = 0.5
         d[0, 3] = 0.5
         social = SocialState(d=d, pi=point_policy(1, 5, lambda k: k))
-        value = average_payment(social)
-        assert value == pytest.approx(average_payment_oracle(social), abs=1e-12)
-        # gamma0[1] = 0.25, gamma0[3] = 0.75: 0.5*0.25*1 + 0.5*0.75*3
-        assert value == pytest.approx(1.25, abs=1e-12)
+        # gamma0[1] = 0.25, gamma0[3] = 0.75: 0.5*0.25*1 + 0.5*0.75*3. The
+        # top balance after payment, 3, gains at most 2 and stays below 5.
+        assert average_payment_oracle(social) == pytest.approx(1.25, abs=1e-12)
+        assert operator_grant(social) == pytest.approx(average_payment_oracle(social), rel=0, abs=1e-12)
 
     def test_random_states_match_bruteforce(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             social = make_random_social(rng, 2, 7)
-            assert average_payment(social) == pytest.approx(
-                average_payment_oracle(social), abs=1e-12
-            )
+            grant = operator_grant(social)
+            assert grant == pytest.approx(grant_oracle(social), rel=0, abs=1e-12)
+            assert grant > average_payment_oracle(social)
+            assert_push_keeps_mean_karma(any_process(2), social)
 
 
 class TestKarmaTransition:
@@ -406,7 +434,7 @@ class TestRandomizedInvariants:
             op = TransitionOperator(case_process, social)
             np.testing.assert_allclose(op.apply(np.ones(social.d.shape)), 1.0, rtol=0, atol=1e-10)
             assert abs(op.push(social.d).sum() - 1.0) <= 1e-10
-            p_bar = average_payment(social, nu)
+            p_bar = average_payment_oracle(social)
             for trial in range(4):
                 u = int(rng.integers(case_process.n_levels))
                 k = int(rng.integers(11))
@@ -434,11 +462,11 @@ class TestRandomizedInvariants:
             mean_after = _expected_next_karma(case_process, social)
             assert mean_after == pytest.approx(mean_before, abs=1e-9)
 
-    def test_truncation_only_loses_karma(self, case_process):
+    def test_truncation_keeps_mean_karma(self, case_process):
+        # Mass at every balance, the cap included.
         rng = np.random.default_rng(29)
         for _ in range(5):
-            social = make_random_social(rng, case_process.n_levels, 6)
-            assert _expected_next_karma(case_process, social) <= social.mean_karma + 1e-12
+            assert_push_keeps_mean_karma(case_process, make_random_social(rng, case_process.n_levels, 6))
 
     def test_win_probability_monotone_in_bid(self):
         rng = np.random.default_rng(31)
