@@ -3,10 +3,10 @@
 A stationary Nash equilibrium is a social state (d, pi) where d is
 stationary under the population dynamics induced by pi and pi is a best
 response to the values it generates at every private state. The solver
-alternates policy evaluation, a temperature-smoothed best response, and
-damped push-forward of the state distribution, annealing the temperature
-until both the exploitability and the stationarity residual pass their
-tolerances.
+alternates policy evaluation, a damped temperature-smoothed best
+response, and push-forward of the state distribution (d <- d P), annealing
+the temperature until it reaches its floor and both the exploitability and
+the stationarity residual pass their tolerances.
 
 The state transition kernel is never formed as an S x S array. A
 TransitionOperator, built once per solve_sne iteration, applies P (for
@@ -77,9 +77,9 @@ from .model import (
 # Krylov basis size of one GMRES cycle, and the cap on operator
 # applications in one value solve. On the case-study game at k_max = 160
 # shorter cycles stall (30 steps per cycle took up to 680 steps in all,
-# 20 did not converge); 100 covers the longest solve seen, 66 steps at
-# k_max = 160 and 89 at k_max = 320, without a restart. A solve that hits
-# the cap falls through to the sup-norm residual check and its SolverError.
+# 20 did not converge); 100 covers every solve there (66 steps at most).
+# At k_max = 320 the fine stage's first solve takes 191 steps, one restart.
+# A solve that hits the cap falls to the sup-norm check and its SolverError.
 _GMRES_RESTART = 100
 _GMRES_MAX_MATVECS = 3000
 
@@ -113,8 +113,8 @@ class SolverConfig:
 
     br_temperature is the initial softmax temperature of the perturbed
     best response; it decays multiplicatively each outer iteration down
-    to temperature_floor. step_size damps both the policy and the
-    distribution updates.
+    to temperature_floor, and a solve stops only once it is there.
+    step_size damps the policy update only; d is pushed undamped.
     """
 
     br_temperature: float = 2.0
@@ -175,8 +175,8 @@ class EquilibriumResult:
     timings holds the wall seconds spent in each stage of the iterations:
     solve_value_seconds (policy evaluation), solve_q_seconds (Q table and
     exploitability), solve_best_response_seconds and solve_update_seconds
-    (push-forward, residual and the damped updates). They vary from run
-    to run, so summary() leaves them out.
+    (push-forward, residual and the damped policy update). They vary from
+    run to run, so summary() leaves them out.
     """
 
     social: SocialState
@@ -472,11 +472,11 @@ def solve_sne(
     the value solve from the quadratic extrapolation
     3 (V_(t-1) - V_(t-2)) + V_(t-3) of the previous three iterations'
     values, linear or constant while fewer exist), records its residual
-    pair, and stops as soon as both exploitability and the stationarity
-    residual meet their tolerances; otherwise the policy is mixed toward the
-    softmax best response and the distribution is pushed one damped step,
-    by the operator built for the iteration's evaluation. Deterministic:
-    identical inputs give bit-identical residual traces.
+    pair, and stops once the temperature is at temperature_floor and both
+    exploitability and the stationarity residual meet their tolerances;
+    otherwise the policy moves step_size toward the softmax best response
+    and d <- d P, by the operator built for the iteration's evaluation.
+    Deterministic: identical inputs give bit-identical residual traces.
 
     The value solve is inexact: iteration t solves only to
     max(tol_value, _FORCING * exploitability at t - 1), the first one to
@@ -538,7 +538,6 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
     temperature = temperature if temperature is not None else solver.br_temperature
     step = solver.step_size
     trace: list[tuple[float, float]] = []
-    converged = False
     history: list[np.ndarray] = []  # the latest values first
     iterations = matvecs = max_inner = 0
     tolerance = solver.tol_value
@@ -558,6 +557,10 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
         stage["solve_q_seconds"] += perf_counter() - t1
         return values, q, expl
 
+    def settled(expl: float, resid: float) -> bool:
+        return (temperature <= solver.temperature_floor and expl <= solver.tol_policy
+                and resid <= solver.tol_distribution)
+
     for iterations in range(1, solver.max_outer_iters + 1):
         t0 = perf_counter()
         transitions = TransitionOperator(process, social)
@@ -568,17 +571,14 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
         resid = 0.5 * float(np.abs(push - social.d).sum())
         stage["solve_update_seconds"] += perf_counter() - t2
         last = iterations == solver.max_outer_iters
-        if tolerance > solver.tol_value and (last or expl <= solver.tol_policy
-                                             and resid <= solver.tol_distribution):
+        if tolerance > solver.tol_value and (last or settled(expl, resid)):
             # Free the loose solve's Q before the re-solve's.
             start = values.V
             del values, q
             values, q, expl = evaluate(solver.tol_value, start)
         trace.append((resid, expl))
-        if expl <= solver.tol_policy and resid <= solver.tol_distribution:
-            converged = True
-            break
-        if last:
+        converged = settled(expl, resid)
+        if converged or last:
             break
         t3 = perf_counter()
         pi_new = perturbed_best_response(q, temperature)
@@ -586,7 +586,7 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
         # step target + (1 - step) pi, formed in the target's buffer.
         pi_new *= step
         pi_new += social.pi * (1.0 - step)
-        social = SocialState(d=(1.0 - step) * social.d + step * push, pi=pi_new)
+        social = SocialState(d=push, pi=pi_new)
         temperature = max(temperature * solver.temperature_decay, solver.temperature_floor)
         tolerance = max(solver.tol_value, _FORCING * expl)
         # The values move smoothly between iterations, so extrapolating the

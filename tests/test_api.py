@@ -31,7 +31,7 @@ def test_readme_library_example_runs(capsys):
     namespace: dict = {}
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     result, report, bound = namespace["result"], namespace["report"], namespace["bound"]
-    assert result.converged and result.iterations == 456  # as its comment says
+    assert result.converged and result.iterations == 402  # as its comment says
     assert report.r_bar <= bound
     printed = capsys.readouterr().out.splitlines()
     assert printed[-1] == f"{report.r_bar} {report.beta} {bound}"

@@ -21,7 +21,8 @@ JSON_VALUES = st.recursive(
 )
 
 # A degenerate but fully converging game: one zero-valuation urgency
-# level and no karma in circulation. Solves in one iteration.
+# level and no karma in circulation. Started cold, at the temperature
+# floor, it solves in one iteration.
 TINY_CONFIG = """
 # tiny converging game
 levels = [0]
@@ -29,6 +30,7 @@ phi_win = [[1.0]]
 phi_lose = [[1.0]]
 k_bar = 0
 k_max = 1
+br_temperature = 1e-5
 n_agents = 20
 n_rounds = 30
 burn_in = 5
