@@ -113,7 +113,9 @@ class SolverConfig:
 
     br_temperature is the initial softmax temperature of the perturbed
     best response; it decays multiplicatively each outer iteration down
-    to temperature_floor, and a solve stops only once it is there.
+    to temperature_floor, and a solve stops only once it is there, so
+    max_outer_iters must allow ceil(log(temperature_floor / br_temperature)
+    / log(temperature_decay)) + 1 iterations (402 at the defaults).
     step_size damps the policy update only; d is pushed undamped.
     """
 
@@ -136,6 +138,9 @@ class SolverConfig:
             raise ParameterError(f"step_size must lie in (0, 1], got {self.step_size}")
         if self.temperature_decay > 1.0:
             raise ParameterError(f"temperature_decay must lie in (0, 1], got {self.temperature_decay}")
+        if self.temperature_decay == 1.0 and self.br_temperature > self.temperature_floor:
+            raise ParameterError("temperature_decay = 1 never brings br_temperature down to "
+                                 "temperature_floor, where a solve stops")
 
 
 @dataclass
@@ -223,7 +228,7 @@ class EquilibriumResult:
             "max_inner_iterations": int(self.max_inner_iterations),
             "coarse_k_max": self.coarse_k_max,
             "coarse_iterations": int(self.coarse_iterations),
-            "mass_at_k_max": _mass_at_k_max(self.social.d),
+            "mass_at_k_max": float(self.social.d[:, -1].sum()),
         }
 
 
@@ -358,13 +363,9 @@ def _gmres(apply_a, rhs: np.ndarray, x0: np.ndarray, tol: float) -> tuple[np.nda
         x += y @ basis[:n]
 
 
-def policy_evaluation(
-    process: UrgencyProcess,
-    transitions: TransitionOperator,
-    config: GameConfig,
-    tol: float = SolverConfig.tol_value,
-    initial: np.ndarray | None = None,
-) -> ValueTables:
+def policy_evaluation(process: UrgencyProcess, transitions: TransitionOperator, config: GameConfig,
+                      tol: float = SolverConfig.tol_value,
+                      initial: np.ndarray | None = None) -> ValueTables:
     """Immediate rewards and values of the shared policy that transitions encodes.
 
     V solves the discounted fixed-point equation (I - alpha P) V = R by
@@ -400,12 +401,8 @@ def policy_evaluation(
     return ValueTables(V=values, R=reward, matvecs=matvecs + 1, inner_iterations=steps)
 
 
-def q_function(
-    values: ValueTables,
-    transitions: TransitionOperator,
-    process: UrgencyProcess,
-    config: GameConfig,
-) -> np.ndarray:
+def q_function(values: ValueTables, transitions: TransitionOperator,
+               process: UrgencyProcess, config: GameConfig) -> np.ndarray:
     """One-step deviation values Q[u, k, b] for every feasible bid b <= k.
 
     Q is the immediate reward of bidding b plus the discounted expected
@@ -461,11 +458,8 @@ def perturbed_best_response(q: np.ndarray, temperature: float) -> np.ndarray:
     return weights
 
 
-def solve_sne(
-    process: UrgencyProcess,
-    config: GameConfig,
-    solver: SolverConfig | None = None,
-) -> EquilibriumResult:
+def solve_sne(process: UrgencyProcess, config: GameConfig,
+              solver: SolverConfig | None = None) -> EquilibriumResult:
     """Iterate smoothed best response with annealing to a stationary equilibrium.
 
     Each outer iteration evaluates the current social state (warm-starting
@@ -476,6 +470,9 @@ def solve_sne(
     exploitability and the stationarity residual meet their tolerances;
     otherwise the policy moves step_size toward the softmax best response
     and d <- d P, by the operator built for the iteration's evaluation.
+    That push is power iteration, which settles only on an aperiodic P:
+    an urgency chain that is periodic (UrgencyProcess.aperiodic) raises
+    ParameterError, and P periodic through the karma ends unconverged.
     Deterministic: identical inputs give bit-identical residual traces.
 
     The value solve is inexact: iteration t solves only to
@@ -497,6 +494,8 @@ def solve_sne(
     Non-convergence is reported through converged=False on the result,
     never as an exception.
     """
+    if not process.aperiodic:
+        raise ParameterError("solve_sne pushes d undamped, so the urgency chain must be aperiodic")
     solver = solver if solver is not None else SolverConfig()
     coarse_k_max = _COARSE_FACTOR * config.k_bar
     if config.k_bar < 1 or config.k_max <= coarse_k_max:
@@ -515,11 +514,6 @@ def solve_sne(
     return result
 
 
-def _mass_at_k_max(d: np.ndarray) -> float:
-    """Mass of d at the top balance, where the truncated dynamics fold overflow."""
-    return float(d[:, -1].sum())
-
-
 def _embed(coarse: SocialState, k_max: int) -> SocialState:
     """coarse on {0, ..., k_max}: no mass above its k_max, where it bids as at its k_max."""
     top, starts = coarse.k_max, bid_layout(k_max)[0]
@@ -536,7 +530,6 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
     """solve_sne's loop from social, temperature and first value guess start (None: as solve_sne)."""
     social = social if social is not None else initial_social_state(process, config)
     temperature = temperature if temperature is not None else solver.br_temperature
-    step = solver.step_size
     trace: list[tuple[float, float]] = []
     history: list[np.ndarray] = []  # the latest values first
     iterations = matvecs = max_inner = 0
@@ -584,8 +577,8 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
         pi_new = perturbed_best_response(q, temperature)
         t4 = perf_counter()
         # step target + (1 - step) pi, formed in the target's buffer.
-        pi_new *= step
-        pi_new += social.pi * (1.0 - step)
+        pi_new *= solver.step_size
+        pi_new += social.pi * (1.0 - solver.step_size)
         social = SocialState(d=push, pi=pi_new)
         temperature = max(temperature * solver.temperature_decay, solver.temperature_floor)
         tolerance = max(solver.tol_value, _FORCING * expl)

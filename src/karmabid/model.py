@@ -98,17 +98,23 @@ class UrgencyProcess:
         if not np.allclose(row_sums, 1.0, rtol=0.0, atol=ROW_SUM_ATOL):
             worst = float(np.abs(row_sums - 1.0).max())
             raise ParameterError(f"phi rows must sum to 1 (worst deviation {worst:.3e})")
-        if not self._mixture_irreducible():
+        if not self._mixture_links_all(n - 1, stay=True):
             raise ParameterError("urgency chain is not irreducible under even outcome mixing")
 
-    def _mixture_irreducible(self) -> bool:
-        # Reachability on the 0.5/0.5 outcome mixture: every level must be
-        # able to reach every other one. Each boolean squaring doubles the
-        # path length covered, and ceil(log2 n) of them cover the n - 1
-        # steps the longest shortest path can need.
-        n = self.n_levels
-        reach = np.eye(n, dtype=bool) | ((self.phi[WIN] + self.phi[LOSE]) > 0)
-        for _ in range((n - 1).bit_length()):
+    @property
+    def aperiodic(self) -> bool:
+        """Whether the 0.5/0.5 outcome mixture is aperiodic. By Wielandt's
+        bound, an irreducible chain on n levels is aperiodic iff it links
+        every pair of levels by paths of exactly (n - 1)^2 + 1 steps."""
+        return self._mixture_links_all((self.n_levels - 1) ** 2 + 1, stay=False)
+
+    def _mixture_links_all(self, steps: int, stay: bool) -> bool:
+        # Whether every level reaches every level on the 0.5/0.5 outcome
+        # mixture by paths of exactly 2^j steps (with stay: at most 2^j), for
+        # the least 2^j >= steps; each boolean squaring doubles the length.
+        reach = (self.phi[WIN] + self.phi[LOSE]) > 0
+        reach |= np.eye(self.n_levels, dtype=bool) & stay
+        for _ in range((steps - 1).bit_length()):
             reach = reach @ reach
         return bool(reach.all())
 

@@ -21,8 +21,8 @@ JSON_VALUES = st.recursive(
 )
 
 # A degenerate but fully converging game: one zero-valuation urgency
-# level and no karma in circulation. Started cold, at the temperature
-# floor, it solves in one iteration.
+# level and no karma in circulation. Started at the temperature floor,
+# where a solve may stop, it solves in one iteration.
 TINY_CONFIG = """
 # tiny converging game
 levels = [0]
@@ -153,6 +153,15 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
+
+    def test_solve_rejects_periodic_urgency_chain(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("levels = [1, 2, 3]\nk_bar = 2\nk_max = 8\n"
+                        + "".join(f"{name} = [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]\n"
+                                  for name in ("phi_win", "phi_lose")))
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "aperiodic" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text, field", [
         ("lp", 'alpha = "x"', "alpha"),

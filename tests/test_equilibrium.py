@@ -352,6 +352,11 @@ class TestSolverConfig:
         with pytest.raises(ParameterError, match=f"{name} must be finite"):
             SolverConfig(**{name: value})
 
+    def test_rejects_decay_that_never_reaches_the_floor(self):
+        with pytest.raises(ParameterError, match="temperature_decay = 1"):
+            SolverConfig(temperature_decay=1.0)
+        assert SolverConfig(temperature_decay=1.0, br_temperature=1e-5).temperature_floor == 1e-5
+
 
 class TestTransitionKernel:
     def test_rows_are_stochastic(self, case_process):
@@ -403,14 +408,30 @@ class TestSolveSne:
     def test_degenerate_game_converges_immediately(self):
         # A single zero-valuation level makes every reward zero, so any
         # policy is a best response; with no karma in the system the
-        # distribution is trivially stationary. Started cold, at the
-        # temperature floor, the solve stops at its first evaluation.
+        # distribution is trivially stationary. A solve stops only at the
+        # temperature floor, so this one starts there.
         proc = zero_level_process()
         config = GameConfig(k_bar=0, k_max=1)
         result = solve_sne(proc, config, SolverConfig(br_temperature=1e-5))
         assert result.converged
         assert result.iterations <= 2
         assert result.exploitability == 0.0
+
+    def test_degenerate_game_anneals_to_the_floor_by_default(self):
+        # Settled from the first evaluation, but the default schedule first
+        # reaches its floor at iteration 402 (2 * 0.97 ** 401 <= 1e-5).
+        result = solve_sne(zero_level_process(), GameConfig(k_bar=0, k_max=1))
+        assert result.converged and result.iterations == 402
+        assert (result.residuals == 0.0).all()
+
+    def test_rejects_periodic_urgency_chain(self):
+        # Urgency alternates between the middle level and the outer two
+        # whatever the outcome, so the undamped push of the uniform start
+        # would alternate between two distributions forever.
+        period_two = [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]
+        process = UrgencyProcess(levels=(1, 2, 3), phi=np.array([period_two, period_two]))
+        with pytest.raises(ParameterError, match="aperiodic"):
+            solve_sne(process, GameConfig(k_bar=2, k_max=8))
 
     def test_small_game_policy_is_deviation_proof(self, small_game, small_game_solution):
         process, config = small_game
@@ -424,8 +445,6 @@ class TestSolveSne:
         assert result.converged
         assert result.iterations <= case_config.k_max * 1000  # sanity, real bound below
         assert result.exploitability <= 1e-4
-        # d is pushed undamped, so by the temperature floor it is stationary
-        # to rounding.
         assert result.stationarity_residual <= 1e-12
         assert result.social.mean_karma == pytest.approx(case_config.k_bar, rel=0, abs=1e-12)
 
@@ -433,15 +452,14 @@ class TestSolveSne:
     def test_karma_at_the_cap_is_conserved(self, case_process, k_bar, k_max):
         # Both games hold mass at their cap (1.5e-2 at (1, 4)). Granting the
         # bare average payment there loses karma every step, and d never
-        # becomes stationary. Both converge at the temperature floor.
+        # becomes stationary.
         result = solve_sne(case_process, GameConfig(k_bar=k_bar, k_max=k_max))
         assert result.converged and result.iterations == 402
         assert abs(result.social.mean_karma - k_bar) <= 1e-12
 
     def test_stops_only_at_the_temperature_floor(self):
-        # This game meets both tolerances from iteration 122 on, long before
-        # the temperature reaches its floor at iteration 402
-        # (2 * 0.97 ** 401 <= 1e-5); the solve stops there and no earlier.
+        # The default schedule first reaches its floor at iteration 402
+        # (2 * 0.97 ** 401 <= 1e-5).
         process = build_urgency_process([1, 16], 0.04)
         result = solve_sne(process, GameConfig(k_bar=1, k_max=4))
         assert result.converged and result.iterations == 402
@@ -600,11 +618,9 @@ def fine_solve(case_process):
 
 class TestCoarseStage:
     def test_fine_solve_starts_from_the_coarse_equilibrium(self, fine_solve):
-        # 402 coarse iterations at k_max = 40, as in the case study, then 31
-        # on the full space, with 6124 applications of P in all; the direct
-        # solve takes 402 iterations and 9051 applications. The count moves
-        # by about 150 with the last bits of the operator's grant, so the
-        # bound leaves twice that above it.
+        # The direct solve takes 402 iterations and 9051 applications of P.
+        # The count moves by about 150 with the last bits of the operator's
+        # grant, so the bound leaves twice that above it.
         result, _ = fine_solve
         summary = result.summary()
         assert result.converged
@@ -614,7 +630,6 @@ class TestCoarseStage:
         assert summary["mass_at_k_max"] < 1e-6
         assert summary["equilibrium_fingerprint"] == (
             "77b50543b02da145a50c93115b3a18c83aee1102ebfc4f684aedf0b5b78814a2")
-        # The case study's equilibrium, refined without moving.
         assert summary["predicted_r_bar"] == pytest.approx(-0.6746330401938813, rel=0, abs=1e-9)
         assert abs(summary["predicted_r_bar"] - -0.6746330401938613) <= 1e-12
 

@@ -15,7 +15,7 @@ from karmabid import (
 )
 from karmabid.config import setup_from_mapping
 from karmabid.equilibrium import TransitionOperator, policy_evaluation, q_function
-from karmabid.model import bid_marginal, win_prob_all_bids
+from karmabid.model import LOSE, bid_marginal, win_prob_all_bids
 from conftest import make_random_social
 from oracles import (
     average_payment_oracle,
@@ -94,6 +94,21 @@ class TestBuildUrgencyProcess:
         phi = np.zeros((2, n, n))
         phi[:, np.arange(n), (np.arange(n) + 1) % n] = 1.0
         assert UrgencyProcess(levels=tuple(range(n)), phi=phi).n_levels == n
+
+    def test_aperiodic_needs_no_common_cycle_length(self):
+        # The one-way cycle returns to each level only in multiples of n
+        # steps; one self-loop adds a return in 1, and period 2 alternates
+        # between the middle level and the outer two.
+        n = 256
+        phi = np.zeros((2, n, n))
+        phi[:, np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        assert not UrgencyProcess(levels=tuple(range(n)), phi=phi).aperiodic
+        phi[LOSE, 0] = np.eye(n)[0]
+        assert UrgencyProcess(levels=tuple(range(n)), phi=phi).aperiodic
+        period_two = [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]
+        assert not UrgencyProcess(levels=(1, 2, 3), phi=np.array([period_two] * 2)).aperiodic
+        assert build_urgency_process(range(1, 257), 0.04).aperiodic
+        assert UrgencyProcess(levels=(3,), phi=np.ones((2, 1, 1))).aperiodic
 
     def test_rejects_reducible_chain(self):
         # Escalation that saturates at the top under both outcomes: the top
