@@ -9,12 +9,12 @@ the temperature until it reaches its floor and both the exploitability and
 the stationarity residual pass their tolerances.
 
 The state transition kernel is never formed as an S x S array. A
-TransitionOperator, built once per solve_sne iteration, applies P (for
-the value solve and for Q) and its push-forward d P through the karma
-landing indices; it dies with its iteration. The values come from
-restarted GMRES, which solve_sne warm-starts by extrapolating the
-previous iterations' V and stops early while the policy is far from a
-best response (a forcing term, _FORCING).
+TransitionOperator, built once per solve_sne iteration from its social
+state (d, pi), applies P (for the value solve and for Q) and pushes that
+d one step on (d P) through the karma landing indices; it dies with its
+iteration. The values come from restarted GMRES, which solve_sne
+warm-starts by extrapolating the previous iterations' V and stops early
+while the policy is far from a best response (a forcing term, _FORCING).
 
 Karma is conserved, as in the simulator, which has no cap and
 redistributes the pool integer-exactly. Balances here stop at k_max, so
@@ -79,7 +79,7 @@ from .model import (
 # shorter cycles stall (30 steps per cycle took up to 680 steps in all,
 # 20 did not converge); 100 covers every solve there (66 steps at most).
 # At k_max = 320 the fine stage's first solve takes 191 steps, one restart.
-# A solve that hits the cap falls to the sup-norm check and its SolverError.
+# A solve that hits the cap still meets the sup-norm check or raises SolverError.
 _GMRES_RESTART = 100
 _GMRES_MAX_MATVECS = 3000
 
@@ -136,6 +136,8 @@ class SolverConfig:
                 raise ParameterError(f"{field.name} must be positive, got {value}")
         if self.step_size > 1.0:
             raise ParameterError(f"step_size must lie in (0, 1], got {self.step_size}")
+        if self.br_temperature < self.temperature_floor:
+            raise ParameterError(f"br_temperature {self.br_temperature} is below temperature_floor")
         if self.temperature_decay > 1.0:
             raise ParameterError(f"temperature_decay must lie in (0, 1], got {self.temperature_decay}")
         if self.temperature_decay == 1.0 and self.br_temperature > self.temperature_floor:
@@ -149,8 +151,7 @@ class ValueTables:
 
     V: expected discounted reward per (u, k).
     R: expected immediate reward per (u, k).
-    matvecs: applications of P spent on V, the final residual check
-       included.
+    matvecs: applications of P spent on V.
     inner_iterations: GMRES (Arnoldi) steps spent on V.
     """
 
@@ -257,8 +258,9 @@ class TransitionOperator:
     karma_win[u, k, j] is the probability of winning and keeping j, zero
     for j > k: one scatter of the packed policy through model.bid_layout
     into a square table, so that BLAS applies it; lose_weight[u, k] is the
-    probability of losing. Applying P or its push-forward costs
-    O(n_u k_max^2), against O(S^2) for the dense kernel.
+    probability of losing. won[u, j] and lost[u, k], the masses of d that
+    win keeping j and that lose at k, set the grant, and push() moves them
+    on. Applying P or pushing d costs O(n_u k_max^2), not O(S^2).
     """
 
     def __init__(self, process: UrgencyProcess, social: SocialState):
@@ -270,11 +272,12 @@ class TransitionOperator:
         self.karma_win = np.zeros((n_u, nk, nk))
         self.karma_win[:, balance, balance - bid] = social.pi * self.gamma0[bid]
         self.lose_weight = np.add.reduceat(social.pi * self.gamma1[bid], starts, axis=1)
+        self.won = (social.d[:, None, :] @ self.karma_win)[:, 0, :]
+        self.lost = social.d * self.lose_weight
         # paid[j]: mass of d at balance j after payment; after[m]: its mean
         # once every balance gains m under the cap, which rises from m to
         # m + 1 by the mass still below k_max - m.
-        paid = (social.d[:, None, :] @ self.karma_win).sum(axis=(0, 1))
-        paid += (social.d * self.lose_weight).sum(axis=0)
+        paid = self.won.sum(axis=0) + self.lost.sum(axis=0)
         ks = np.arange(nk)
         after = paid @ ks + np.concatenate(([0.0], np.cumsum(np.cumsum(paid)[-2::-1])))
         low, high, f_low, f_high = redistribution_split(float(np.interp(social.mean_karma, after, ks)))
@@ -294,25 +297,25 @@ class TransitionOperator:
         z = self.continuation(values)
         return (self.karma_win @ z[0][:, :, None])[:, :, 0] + self.lose_weight * z[1]
 
-    def push(self, d: np.ndarray) -> np.ndarray:
-        """(d P)[v, m]: the distribution d, shaped (n_u, k_max+1), one step on."""
-        n_u, nk = d.shape
-        paid = (d[:, None, :] @ self.karma_win)[:, 0, :]
-        moved = self.phi[0].T @ paid + self.phi[1].T @ (d * self.lose_weight)
+    def push(self) -> np.ndarray:
+        """(d P)[v, m]: the operator's own d, shaped (n_u, k_max+1), one step on."""
+        n_u, nk = self.lost.shape
+        moved = self.phi[0].T @ self.won + self.phi[1].T @ self.lost
         # Row v scatters into row v only, each bin's terms in landing order.
         landing = self.landing + np.arange(n_u)[:, None] * nk
         weights = np.tile(moved, 2) * self.landing_weight
         return np.bincount(landing.ravel(), weights.ravel(), n_u * nk).reshape(n_u, nk)
 
 
-def _gmres(apply_a, rhs: np.ndarray, x0: np.ndarray, tol: float) -> tuple[np.ndarray, int, int]:
+def _gmres(apply_a, rhs: np.ndarray, x0: np.ndarray, tol: float) -> tuple[np.ndarray, float, int, int]:
     """Restarted GMRES (Saad & Schultz 1986) for A x = rhs, started from x0.
 
     Stops once the true residual's 2-norm is at most tol, or once
     _GMRES_MAX_MATVECS applications of A are spent. The Arnoldi basis is
     orthogonalized by classical Gram-Schmidt applied twice; Givens
     rotations keep the Hessenberg least-squares problem triangular.
-    Returns (x, applications of A, Arnoldi steps).
+    Returns (x, sup norm of its true residual rhs - A x, applications of
+    A, Arnoldi steps).
     """
     x = x0.copy()
     m = min(_GMRES_RESTART, rhs.size)
@@ -323,7 +326,7 @@ def _gmres(apply_a, rhs: np.ndarray, x0: np.ndarray, tol: float) -> tuple[np.nda
         matvecs += 1
         beta = math.sqrt(r @ r)
         if beta <= tol or matvecs >= _GMRES_MAX_MATVECS:
-            return x, matvecs, steps
+            return x, float(np.abs(r).max()), matvecs, steps
         np.divide(r, beta, out=basis[0])
         tri = np.zeros((m, m))
         g = [beta]
@@ -371,7 +374,7 @@ def policy_evaluation(process: UrgencyProcess, transitions: TransitionOperator, 
     V solves the discounted fixed-point equation (I - alpha P) V = R by
     restarted GMRES on the matrix-free transition operator, started from
     initial (values shaped like V; zeros if None) and stopped at 2-norm
-    residual tol; the result must then meet tol in sup norm.
+    residual tol; that residual must then meet tol in sup norm.
 
     Raises:
         ParameterError: if initial is not shaped (n_levels, k_max + 1).
@@ -390,15 +393,11 @@ def policy_evaluation(process: UrgencyProcess, transitions: TransitionOperator, 
         return flat - alpha * transitions.apply(flat.reshape(shape)).ravel()
 
     start = np.zeros(reward.size) if initial is None else initial.ravel()
-    flat, matvecs, steps = _gmres(apply_a, reward.ravel(), start, tol)
-    values = flat.reshape(shape)
-    residual = float(np.abs(values - (reward + alpha * transitions.apply(values))).max())
+    flat, residual, matvecs, steps = _gmres(apply_a, reward.ravel(), start, tol)
     if not residual <= tol:  # also rejects a NaN residual
-        raise SolverError(
-            f"policy evaluation residual {residual:.3e} exceeds tol_value {tol:.3e}",
-            residual=residual,
-        )
-    return ValueTables(V=values, R=reward, matvecs=matvecs + 1, inner_iterations=steps)
+        raise SolverError(f"policy evaluation residual {residual:.3e} exceeds tol_value {tol:.3e}",
+                          residual=residual)
+    return ValueTables(V=flat.reshape(shape), R=reward, matvecs=matvecs, inner_iterations=steps)
 
 
 def q_function(values: ValueTables, transitions: TransitionOperator,
@@ -560,7 +559,7 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
         stage["solve_value_seconds"] += perf_counter() - t0
         values, q, expl = evaluate(tolerance, start)
         t2 = perf_counter()
-        push = transitions.push(social.d)
+        push = transitions.push()
         resid = 0.5 * float(np.abs(push - social.d).sum())
         stage["solve_update_seconds"] += perf_counter() - t2
         last = iterations == solver.max_outer_iters

@@ -37,6 +37,17 @@ burn_in = 5
 rng_seed = 99
 """
 
+# A small game whose rewards are not all zero, so that the four
+# mechanisms' rows differ.
+SMALL_CONFIG = """
+levels = [1, 4]
+k_bar = 2
+k_max = 8
+n_agents = 20
+n_rounds = 50
+burn_in = 5
+"""
+
 # Every subcommand, with the arguments it needs; simulate takes the one
 # mechanism that solves.
 COMMANDS = [["solve"], ["simulate", "--mechanism", "karma"], ["compare"], ["lp"]]
@@ -145,6 +156,15 @@ class TestSolveCommand:
         code = main([command, *extra, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_rejects_br_temperature_below_the_floor(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("br_temperature = 1e-6\n")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "br_temperature" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_rejects_epsilon_out_of_range_by_name(self, tmp_path, capsys):
@@ -349,6 +369,19 @@ class TestCompareCommand:
             else:
                 assert entry["beta"] is None
         assert printed[-1]["mechanism"] == "MAX_EFF_LP" and printed[-1]["beta"] is None
+
+    def test_simulate_prints_the_compare_row(self, tmp_path, capsys):
+        path = tmp_path / "small.cfg"
+        path.write_text(SMALL_CONFIG)
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "c"),
+                     "--format", "json"]) == 0
+        rows = {row["mechanism"]: row for row in json.loads(capsys.readouterr().out)}
+        assert len({row["r_bar"] for row in rows.values()}) == len(rows)
+        for name, mechanism in [("karma", "KARMA"), ("random", "RANDOM"), ("turn", "TURN"),
+                                ("greedy", "GREEDY_URGENCY")]:
+            assert main(["simulate", "--mechanism", name, "--config", str(path),
+                         "--out", str(tmp_path / name), "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == rows[mechanism]
 
 
 @pytest.mark.parametrize("argv, outputs, timings", [

@@ -233,7 +233,7 @@ def operator_grant(social: SocialState) -> float:
 
 
 def assert_push_keeps_mean_karma(process: UrgencyProcess, social: SocialState) -> None:
-    pushed = SocialState(d=TransitionOperator(process, social).push(social.d), pi=social.pi)
+    pushed = SocialState(d=TransitionOperator(process, social).push(), pi=social.pi)
     assert pushed.mean_karma == pytest.approx(social.mean_karma, rel=0, abs=1e-12)
 
 
@@ -448,7 +448,7 @@ class TestRandomizedInvariants:
             assert ((0.0 <= gamma0) & (gamma0 <= 1.0 + 1e-12)).all()
             op = TransitionOperator(case_process, social)
             np.testing.assert_allclose(op.apply(np.ones(social.d.shape)), 1.0, rtol=0, atol=1e-10)
-            assert abs(op.push(social.d).sum() - 1.0) <= 1e-10
+            assert abs(op.push().sum() - 1.0) <= 1e-10
             p_bar = average_payment_oracle(social)
             for trial in range(4):
                 u = int(rng.integers(case_process.n_levels))
@@ -513,17 +513,18 @@ class TestRandomizedInvariants:
         perturbed = SocialState(d=social.d.copy(), pi=pack(pi_perturbed))
         delta = 0.5 * np.abs(unpack(perturbed.pi) - unpack(social.pi)).sum(axis=2).max()
         assert delta > 0
-        before_op = TransitionOperator(case_process, social)
-        after_op = TransitionOperator(case_process, perturbed)
-        for _ in range(6):
-            # The push-forward of a point mass is that state's row of P.
-            point = np.zeros(social.d.shape)
-            point[int(rng.integers(case_process.n_levels)), int(rng.integers(nk))] = 1.0
-            tv = 0.5 * np.abs(after_op.push(point) - before_op.push(point)).sum()
-            assert tv <= 1e3 * delta
+
+        def kernel(social_state):
+            # Column s of P is P applied to the s-th unit vector.
+            op = TransitionOperator(case_process, social_state)
+            units = np.eye(social.d.size).reshape(-1, *social.d.shape)
+            return np.stack([op.apply(unit).ravel() for unit in units], axis=1)
+
+        tv = 0.5 * np.abs(kernel(perturbed) - kernel(social)).sum(axis=1)
+        assert (tv <= 1e3 * delta).all()
 
 
 def _expected_next_karma(process, social) -> float:
     """Mean karma after one step of the library's push-forward."""
-    pushed = TransitionOperator(process, social).push(social.d)
+    pushed = TransitionOperator(process, social).push()
     return float(pushed.sum(axis=0) @ np.arange(social.k_max + 1))
