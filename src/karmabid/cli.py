@@ -1,7 +1,8 @@
 """Command-line front end: solve, simulate, compare, lp.
 
 Every command times its stages with _timed, writes JSON with _write_json
-and ends in _finish, which writes manifest.json and prints the summary.
+and CSV with _write_csv, and ends in _finish, which writes manifest.json
+and prints the summary. This is the only module that writes files.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 solver
 non-convergence, a value solve that misses tol_value, or LP failure,
@@ -17,19 +18,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .baselines import build_max_eff_lp, solve_lp
 from .config import RunManifest, RunSetup, load_config
-from .equilibrium import (
-    EquilibriumResult,
-    SolverError,
-    solve_sne,
-    write_distribution_csv,
-    write_policy_csv,
-    write_residuals_csv,
-)
-from .model import ParameterError
+from .equilibrium import EquilibriumResult, SolverError, solve_sne
+from .model import ParameterError, bid_layout
 from .simplex import LpError
-from .simulation import Mechanism, MechanismKind, run_experiment, write_trace_csv
+from .simulation import Mechanism, MechanismKind, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,6 +78,15 @@ def _write_json(path: Path, doc, sort_keys: bool = False) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
 
 
+def _write_csv(path: Path, header: str, lines) -> None:
+    """CSV file: the header, then each item of lines, newline-terminated.
+    An item may join several rows with newlines. Every caller formats its
+    floats with repr, so they read back exactly."""
+    with open(path, "w") as out:
+        out.write(header + "\n")
+        out.writelines(f"{line}\n" for line in lines)
+
+
 def _solve(setup: RunSetup, timings: dict) -> EquilibriumResult:
     result = _timed(timings, "solve_seconds", solve_sne, setup.process, setup.game, setup.solver)
     timings.update(result.timings)
@@ -106,9 +111,25 @@ def _write_equilibrium_files(out: Path, setup: RunSetup, result: EquilibriumResu
         "residuals": out / "residuals.csv",
         "summary": out / "solve_summary.json",
     }
-    write_policy_csv(paths["policy"], setup.process, result.social)
-    write_distribution_csv(paths["distribution"], setup.process, result.social)
-    write_residuals_csv(paths["residuals"], result)
+    levels, social = setup.process.levels, result.social
+
+    def policy_lines():
+        """The policy in its packed order, one state per item: that keeps the
+        live text small, and policy.csv reaches megabytes at k_max in the hundreds."""
+        starts = bid_layout(social.k_max)[0].tolist()
+        for level, row in zip(levels, social.pi):
+            for k, start in enumerate(starts):
+                prefix = f"{level},{k},"
+                yield "\n".join([f"{prefix}{b},{p!r}"
+                                 for b, p in enumerate(row[start:start + k + 1].tolist())])
+
+    _write_csv(paths["policy"], "urgency_level,karma,bid,probability", policy_lines())
+    _write_csv(paths["distribution"], "urgency_level,karma,mass",
+               [f"{level},{k},{mass!r}" for level, row in zip(levels, social.d.tolist())
+                for k, mass in enumerate(row)])
+    _write_csv(paths["residuals"], "iteration,stationarity_residual,exploitability",
+               [f"{i},{resid!r},{expl!r}"
+                for i, (resid, expl) in enumerate(result.residuals.tolist(), start=1)])
     _write_json(paths["summary"], result.summary())
     return {name: str(p) for name, p in paths.items()}
 
@@ -146,7 +167,14 @@ def cmd_simulate(setup: RunSetup, mechanism_name: str, out: Path, fmt: str) -> i
     metrics_path = out / f"metrics_{kind.value.lower()}.json"
     trace_path = out / f"trace_{kind.value.lower()}.csv"
     _write_json(metrics_path, report.to_dict())
-    write_trace_csv(trace_path, report)
+    histograms = report.karma_histograms  # None outside KARMA runs
+    k_cols = [f"karma_{k}" for k in range(histograms.shape[1])] if histograms is not None else []
+    running = np.cumsum(report.round_mean_rewards) / np.arange(1, report.n_rounds + 1)
+    counts = (["," + ",".join(map(str, row)) for row in histograms.tolist()]
+              if histograms is not None else [""] * report.n_rounds)
+    _write_csv(trace_path, ",".join(["round", "mean_reward", "running_mean_reward"] + k_cols),
+               [f"{t},{mean!r},{run!r}{tail}" for t, (mean, run, tail) in enumerate(
+                   zip(report.round_mean_rewards.tolist(), running.tolist(), counts), start=1)])
     if fmt == "json":
         text = json.dumps({"mechanism": kind.value, "r_bar": report.r_bar, "beta": report.beta}, indent=2)
     else:
@@ -173,14 +201,14 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     rows.append(("MAX_EFF_LP", repr(lp_value), ""))
 
     comparison_path = out / "comparison.csv"
-    lines = ["mechanism,r_bar,beta"] + [",".join(row) for row in rows]
-    comparison_path.write_text("\n".join(lines) + "\n")
+    header, lines = "mechanism,r_bar,beta", [",".join(row) for row in rows]
+    _write_csv(comparison_path, header, lines)
     outputs["comparison"] = str(comparison_path)
     if fmt == "json":
         text = json.dumps([{"mechanism": name, "r_bar": float(r), "beta": float(b) if b else None}
                            for name, r, b in rows], indent=2)
     else:
-        text = "\n".join(lines)
+        text = "\n".join([header, *lines])
     return _finish(out, setup, "compare", text, mechanisms=[row[0] for row in rows],
                    outputs=outputs, timings=timings)
 

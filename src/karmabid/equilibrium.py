@@ -44,7 +44,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -69,7 +68,6 @@ from .model import (
     check_fields,
     packed_k_max,
     per_bid,
-    redistribution_split,
     win_prob_all_bids,
 )
 
@@ -165,11 +163,12 @@ class ValueTables:
 class EquilibriumResult:
     """Converged (or best-effort) social state with diagnostics.
 
-    residuals has one row per outer iteration with columns
-    (stationarity residual in total variation, exploitability), both
-    measured on the social state entering that iteration. value_matvecs
-    counts the applications of P over all value solves, and
-    max_inner_iterations is the most GMRES steps one value solve took.
+    residuals has one row per outer iteration (iterations counts them),
+    with columns (stationarity residual in total variation,
+    exploitability), both measured on the social state entering that
+    iteration. value_matvecs counts the applications of P over all value
+    solves, and max_inner_iterations is the most GMRES steps one value
+    solve took.
     These counts, like iterations, residuals and timings, cover both
     stages of a coarse-started solve (solve_sne).
     predicted_r_bar is the mean-field long-run reward d . R, and
@@ -189,12 +188,15 @@ class EquilibriumResult:
     values: ValueTables
     residuals: np.ndarray
     converged: bool
-    iterations: int
     value_matvecs: int = 0
     max_inner_iterations: int = 0
     timings: dict[str, float] = dataclasses.field(default_factory=dict)
     coarse_k_max: int | None = None
     coarse_iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
 
     @property
     def exploitability(self) -> float:
@@ -219,7 +221,7 @@ class EquilibriumResult:
     def summary(self) -> dict:
         return {
             "converged": bool(self.converged),
-            "iterations": int(self.iterations),
+            "iterations": self.iterations,
             "exploitability": self.exploitability,
             "stationarity_residual": self.stationarity_residual,
             "mean_karma": self.social.mean_karma,
@@ -250,11 +252,12 @@ class TransitionOperator:
     A move splits into a payment and a redistribution. A winner bidding b
     from balance k keeps j = k - b, a loser keeps j = k; then the urgency
     moves by phi[outcome] and the balance moves from j to landing[j] =
-    j + low with weight landing_weight[j] = f_low, or to landing[nk + j] =
-    j + high with f_high (apply and push share this table), with overflow
-    above k_max landing at k_max, so every row of P sums to one. The grant
-    f_low low + f_high high keeps the mean karma of d; the mean after a
-    grant of m is linear between integers, so interpolating it is exact.
+    j + floor(m) with weight landing_weight[j] = ceil(m) - m, or to
+    landing[nk + j] = j + ceil(m) with the rest (apply and push share this
+    table), with overflow above k_max landing at k_max, so every row of P
+    sums to one. The grant m, paid as floor(m) or ceil(m) with those
+    weights, keeps the mean karma of d; the mean after a grant of m is
+    linear between integers, so interpolating it is exact.
     karma_win[u, k, j] is the probability of winning and keeping j, zero
     for j > k: one scatter of the packed policy through model.bid_layout
     into a square table, so that BLAS applies it; lose_weight[u, k] is the
@@ -280,9 +283,10 @@ class TransitionOperator:
         paid = self.won.sum(axis=0) + self.lost.sum(axis=0)
         ks = np.arange(nk)
         after = paid @ ks + np.concatenate(([0.0], np.cumsum(np.cumsum(paid)[-2::-1])))
-        low, high, f_low, f_high = redistribution_split(float(np.interp(social.mean_karma, after, ks)))
+        grant = float(np.interp(social.mean_karma, after, ks))
+        low, high = math.floor(grant), math.ceil(grant)
         self.landing = np.minimum(np.concatenate([ks + low, ks + high]), nk - 1)
-        self.landing_weight = np.repeat([f_low, f_high], nk)
+        self.landing_weight = np.repeat([high - grant, 1 - (high - grant)], nk)
 
     def continuation(self, values: np.ndarray) -> np.ndarray:
         """z[o, u, j]: expected V(u', k') after outcome o from urgency u with
@@ -505,7 +509,6 @@ def solve_sne(process: UrgencyProcess, config: GameConfig,
     result = _anneal(process, config, fine, _embed(coarse.social, config.k_max),
                      solver.temperature_floor, np.pad(coarse.values.V, pad, "edge"))
     result.residuals = np.concatenate([coarse.residuals, result.residuals])
-    result.iterations += coarse.iterations
     result.coarse_k_max, result.coarse_iterations = coarse_k_max, coarse.iterations
     result.value_matvecs += coarse.value_matvecs
     result.max_inner_iterations = max(result.max_inner_iterations, coarse.max_inner_iterations)
@@ -531,7 +534,7 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
     temperature = temperature if temperature is not None else solver.br_temperature
     trace: list[tuple[float, float]] = []
     history: list[np.ndarray] = []  # the latest values first
-    iterations = matvecs = max_inner = 0
+    matvecs = max_inner = 0
     tolerance = solver.tol_value
     stage = dict.fromkeys(("solve_value_seconds", "solve_q_seconds",
                            "solve_best_response_seconds", "solve_update_seconds"), 0.0)
@@ -604,39 +607,7 @@ def _anneal(process: UrgencyProcess, config: GameConfig, solver: SolverConfig,
         values=values,
         residuals=np.asarray(trace),
         converged=converged,
-        iterations=iterations,
         value_matvecs=matvecs,
         max_inner_iterations=max_inner,
         timings=stage,
     )
-
-
-def write_policy_csv(path: Path | str, process: UrgencyProcess, social: SocialState) -> None:
-    """Policy table as CSV rows (urgency_level, karma, bid, probability),
-    in the packed order of the policy."""
-    starts = bid_layout(social.k_max)[0].tolist()
-    with open(path, "w") as out:
-        out.write("urgency_level,karma,bid,probability\n")
-        # One state at a time keeps the live text small; the file reaches
-        # megabytes at k_max in the hundreds.
-        for level, row in zip(process.levels, social.pi):
-            for k, start in enumerate(starts):
-                prefix = f"{level},{k},"
-                out.writelines([f"{prefix}{b},{p!r}\n"
-                                for b, p in enumerate(row[start:start + k + 1].tolist())])
-
-
-def write_distribution_csv(path: Path | str, process: UrgencyProcess, social: SocialState) -> None:
-    """State distribution as CSV rows (urgency_level, karma, mass)."""
-    lines = ["urgency_level,karma,mass"]
-    for level, row in zip(process.levels, social.d.tolist()):
-        lines.extend([f"{level},{k},{mass!r}" for k, mass in enumerate(row)])
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_residuals_csv(path: Path | str, result: EquilibriumResult) -> None:
-    """Residual trace as CSV rows (iteration, stationarity_residual, exploitability)."""
-    lines = ["iteration,stationarity_residual,exploitability"]
-    lines.extend([f"{i},{resid!r},{expl!r}"
-                  for i, (resid, expl) in enumerate(result.residuals.tolist(), start=1)])
-    Path(path).write_text("\n".join(lines) + "\n")

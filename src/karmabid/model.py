@@ -319,19 +319,3 @@ def win_prob_all_bids(nu: np.ndarray) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     below = np.concatenate(([0.0], np.cumsum(nu)[:-1]))
     return below + 0.5 * nu
-
-
-def redistribution_split(grant: float) -> tuple[int, int, float, float]:
-    """Integer split of the karma grant every agent receives on average.
-
-    Returns (low, high, f_low, f_high): a fraction f_low of agents
-    receives the floor of grant, the rest receive the ceiling, so the
-    expectation equals grant exactly. For an integral grant the two
-    branches coincide and f_low is zero.
-    """
-    if grant < 0:
-        raise ParameterError(f"grant must be nonnegative, got {grant}")
-    low = int(np.floor(grant))
-    high = int(np.ceil(grant))
-    f_low = float(high - grant)
-    return low, high, f_low, 1.0 - f_low

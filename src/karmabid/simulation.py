@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -385,17 +384,3 @@ def run_experiment(
         urgency_marginal=urgency_counts / urgency_counts.sum(),
         karma_histograms=histograms,
     )
-
-
-def write_trace_csv(path: Path | str, report: MetricsReport) -> None:
-    """Per-round trace: mean reward, running average, and (karma runs)
-    the karma histogram columns."""
-    histograms = report.karma_histograms
-    k_cols = [f"karma_{k}" for k in range(histograms.shape[1])] if histograms is not None else []
-    lines = [",".join(["round", "mean_reward", "running_mean_reward"] + k_cols)]
-    running = np.cumsum(report.round_mean_rewards) / np.arange(1, report.n_rounds + 1)
-    counts = (["," + ",".join(map(str, row)) for row in histograms.tolist()]
-              if histograms is not None else [""] * report.n_rounds)
-    lines.extend([f"{t},{mean!r},{run!r}{tail}" for t, (mean, run, tail) in enumerate(
-        zip(report.round_mean_rewards.tolist(), running.tolist(), counts), start=1)])
-    Path(path).write_text("\n".join(lines) + "\n")

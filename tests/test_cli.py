@@ -4,10 +4,11 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karmabid import ParameterError, RunSetup, build_max_eff_lp, load_config, solve_lp
+from karmabid import ParameterError, RunSetup, build_max_eff_lp, load_config, solve_lp, solve_sne
 from karmabid.cli import main
 from karmabid.config import DEFAULTS, RunManifest, setup_from_mapping
 
@@ -119,6 +120,26 @@ class TestSolveCommand:
         manifest = RunManifest(**json.loads((out / "manifest.json").read_text()))
         assert manifest.command == "solve"
         assert manifest.config["k_bar"] == 0
+
+    def test_solve_csvs_round_trip_exactly(self, tmp_path):
+        path = tmp_path / "small.cfg"
+        path.write_text(SMALL_CONFIG)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+        setup = load_config(path)
+        result = solve_sne(setup.process, setup.game, setup.solver)
+        header, *lines = (tmp_path / "distribution.csv").read_text().splitlines()
+        assert header == "urgency_level,karma,mass"
+        rows = [line.split(",") for line in lines]
+        nk = setup.game.k_max + 1
+        assert [(int(r[0]), int(r[1])) for r in rows] == [
+            (level, k) for level in setup.process.levels for k in range(nk)]
+        np.testing.assert_array_equal(np.array([float(r[2]) for r in rows]).reshape(-1, nk),
+                                      result.social.d)
+        header, *lines = (tmp_path / "residuals.csv").read_text().splitlines()
+        assert header == "iteration,stationarity_residual,exploitability"
+        rows = [line.split(",") for line in lines]
+        assert [int(r[0]) for r in rows] == list(range(1, result.iterations + 1))
+        np.testing.assert_array_equal([[float(c) for c in r[1:]] for r in rows], result.residuals)
 
     def test_rejects_bad_alpha_with_field_name(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

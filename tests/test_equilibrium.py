@@ -30,8 +30,8 @@ from karmabid.equilibrium import (
     perturbed_best_response,
     policy_evaluation,
     q_function,
-    write_policy_csv,
 )
+from karmabid.cli import main
 from karmabid.model import bid_marginal, win_prob_all_bids
 from conftest import make_random_social
 from oracles import (
@@ -704,9 +704,9 @@ class TestCoarseStage:
 class TestWritePolicyCsv:
     def test_round_trips_exactly(self, case_process, case_equilibrium, tmp_path):
         social = case_equilibrium.social
-        path = tmp_path / "policy.csv"
-        write_policy_csv(path, case_process, social)
-        header, *lines = path.read_text().splitlines()
+        # With no config, karmabid solve solves the case study.
+        assert main(["solve", "--out", str(tmp_path)]) == 0
+        header, *lines = (tmp_path / "policy.csv").read_text().splitlines()
         assert header == "urgency_level,karma,bid,probability"
         ks, bs = np.tril_indices(social.k_max + 1)
         rows = [line.split(",") for line in lines]

@@ -4,6 +4,7 @@ determinism."""
 
 import dataclasses
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -19,9 +20,10 @@ from karmabid import (
     run_experiment,
     solve_sne,
 )
-from karmabid import simulation
+from karmabid import load_config, simulation
+from karmabid.cli import main
 from karmabid.simulation import (
-    _GUIDE_BUCKETS, _guide_table, _sample_guided, initialize_population, run_round, write_trace_csv,
+    _GUIDE_BUCKETS, _guide_table, _sample_guided, initialize_population, run_round,
 )
 from oracles import (
     mixture_stationary_distribution, pack, random_long_run_reward, sample_rows_oracle, unpack,
@@ -625,8 +627,6 @@ class TestRunExperiment:
         doc = report.to_dict()
         assert doc["mechanism"] == "RANDOM"
         assert len(doc["per_agent_avg"]) == config.n_agents
-        import json
-
         json.dumps(doc)
 
 
@@ -636,13 +636,18 @@ class TestWriteTraceCsv:
         process, config = small_setup
         # 46 agents give mean rewards with long decimal expansions.
         config = dataclasses.replace(config, n_agents=46)
-        mechanism = (Mechanism(kind=MechanismKind.KARMA,
-                               policy=uniform_policy(process.n_levels, config.k_max))
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({"levels": list(process.levels), "epsilon": 0.05,
+                                    **dataclasses.asdict(config)}))
+        name = "karma" if karma else "turn"
+        assert main(["simulate", "--mechanism", name, "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+        # The same run through the library, which is deterministic.
+        setup = load_config(path)
+        mechanism = (Mechanism.karma(solve_sne(setup.process, setup.game, setup.solver))
                      if karma else Mechanism("TURN"))
-        report = run_experiment(process, config, mechanism)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, report)
-        header, *lines = path.read_text().splitlines()
+        report = run_experiment(setup.process, setup.game, mechanism)
+        header, *lines = (tmp_path / f"trace_{name}.csv").read_text().splitlines()
         k_cols = [f"karma_{k}" for k in range(config.k_max + 1)] if karma else []
         assert header.split(",") == ["round", "mean_reward", "running_mean_reward"] + k_cols
         rows = [line.split(",") for line in lines]
