@@ -25,7 +25,7 @@ from .config import RunManifest, RunSetup, load_config
 from .equilibrium import EquilibriumResult, SolverError, solve_sne
 from .model import ParameterError, bid_layout
 from .simplex import LpError
-from .simulation import Mechanism, MechanismKind, run_experiment
+from .simulation import Mechanism, MechanismKind, run_baselines, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -191,13 +191,14 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     lp_value, _psi = _timed(timings, "lp_seconds", solve_lp, build_max_eff_lp(setup.process))
     outputs = _write_equilibrium_files(out, setup, result)
 
-    mechanisms = [Mechanism.karma(result), *map(Mechanism, ("RANDOM", "TURN", "GREEDY_URGENCY"))]
-    rows = []
-    for mechanism in mechanisms:
-        name = mechanism.kind.value
-        report = _timed(timings, f"simulate_{name.lower()}_seconds",
-                        run_experiment, setup.process, setup.game, mechanism)
-        rows.append((name, repr(report.r_bar), repr(report.beta)))
+    def row_of(report):
+        return report.mechanism, repr(report.r_bar), repr(report.beta)
+
+    # KARMA's report is dropped before the baselines run, which peak higher.
+    rows = [row_of(_timed(timings, "simulate_karma_seconds",
+                          run_experiment, setup.process, setup.game, Mechanism.karma(result)))]
+    rows += map(row_of, _timed(timings, "simulate_baselines_seconds",
+                               run_baselines, setup.process, setup.game))
     rows.append(("MAX_EFF_LP", repr(lp_value), ""))
 
     comparison_path = out / "comparison.csv"

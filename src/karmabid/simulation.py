@@ -28,13 +28,18 @@ permutation, bid state, draws and bids, while KARMA draws its bids.
 
 All randomness flows through one seeded generator in a fixed draw order,
 so runs are reproducible bit for bit from (config, mechanism, seed).
+RANDOM, TURN and GREEDY_URGENCY draw only each round's permutation, tie
+coins and urgency uniforms, so under one seed their draws are the same.
+run_baselines, which compare uses, plays the three on one generator
+that draws each value once, and each population meets the draws in the
+order run_round gives it: its reports equal run_experiment's bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -135,11 +140,13 @@ class Population:
 
     urgency_tables caches the round tables of the process the population
     last played under; run_round rebuilds them when the process changes.
+    run_baselines' populations leave karma None, and wins too except
+    TURN's, since nothing reads them there.
     """
 
     u: np.ndarray
-    karma: np.ndarray
-    wins: np.ndarray
+    karma: Optional[np.ndarray]
+    wins: Optional[np.ndarray]
     reward_sums: np.ndarray
     rng: np.random.Generator
     urgency_tables: Optional[_UrgencyTables] = field(default=None, repr=False, compare=False)
@@ -190,13 +197,17 @@ class MetricsReport:
 def initialize_population(config: GameConfig) -> Population:
     """Fresh population: everyone at the lowest urgency with exactly k_bar
     karma (total N * k_bar), counters zeroed, generator seeded."""
+    return _new_population(config, np.random.default_rng(config.rng_seed), karma=True, wins=True)
+
+
+def _new_population(config: GameConfig, rng: np.random.Generator, karma: bool, wins: bool) -> Population:
     n = config.n_agents
     return Population(
         u=np.zeros(n, dtype=np.int64),
-        karma=np.full(n, config.k_bar, dtype=np.int64),
-        wins=np.zeros(n, dtype=np.int64),
+        karma=np.full(n, config.k_bar, dtype=np.int64) if karma else None,
+        wins=np.zeros(n, dtype=np.int64) if wins else None,
         reward_sums=np.zeros(n, dtype=float),
-        rng=np.random.default_rng(config.rng_seed),
+        rng=rng,
     )
 
 
@@ -255,24 +266,50 @@ def _sample_guided(
 def _pick_winners(
     pop: Population,
     mechanism: Mechanism,
-    first: np.ndarray,
-    second: np.ndarray,
+    perm: np.ndarray,
     coin_first: np.ndarray,
     bids: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Per pair, True if the first agent wins: higher priority wins, a tie takes coin_first."""
+    """One boolean per agent, True for the winner of its pair. The pairs
+    are (perm[0::2], perm[1::2]): higher priority wins, a tie takes
+    coin_first, True for the first agent."""
+    first, second = perm[0::2], perm[1::2]
     if mechanism.kind is MechanismKind.RANDOM:
-        return coin_first
-    if mechanism.kind is MechanismKind.KARMA:
-        pf, ps = bids[first], bids[second]
-    elif mechanism.kind is MechanismKind.GREEDY_URGENCY:
-        pf, ps = pop.u[first], pop.u[second]
+        first_wins = coin_first
     else:
-        # Everyone plays every round, so all win fractions share one
-        # denominator and comparing win counts gives the same decisions;
-        # the fewer wins have the priority, so the pair is read swapped.
-        pf, ps = pop.wins[second], pop.wins[first]
-    return np.where(pf == ps, coin_first, pf > ps)
+        if mechanism.kind is MechanismKind.KARMA:
+            pf, ps = bids[first], bids[second]
+        elif mechanism.kind is MechanismKind.GREEDY_URGENCY:
+            pf, ps = pop.u[first], pop.u[second]
+        else:
+            # Everyone plays every round, so all win fractions share one
+            # denominator and comparing win counts gives the same decisions;
+            # the fewer wins have the priority, so the pair is read swapped.
+            pf, ps = pop.wins[second], pop.wins[first]
+        first_wins = np.where(pf == ps, coin_first, pf > ps)
+        del pf, ps
+    won = np.empty(perm.shape[0], dtype=bool)
+    won[first] = first_wins
+    won[second] = ~first_wins
+    return won
+
+
+def _settle(pop: Population, tables: _UrgencyTables, won: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The round's last stage: count the wins (where pop keeps them), draw
+    the next urgencies from the uniforms draws (never written), and return
+    the rewards, already added to reward_sums."""
+    if pop.wins is not None:
+        pop.wins += won
+    # urgency state outcome * n_levels + u, outcome 0 for winners, in the
+    # smallest type that holds it (uint8 up to 128 levels): indexing with
+    # it casts in buffered blocks, where np.take would copy it to intp.
+    state = np.multiply(~won, tables.process.n_levels, dtype=np.min_scalar_type(tables.reward.size - 1))
+    np.add(state, pop.u, out=state, casting="unsafe")
+    pop.u = None  # the state carries the old urgencies into the draw
+    pop.u = _sample_guided(tables.cdf, tables.guide, state, draws)
+    rewards = tables.reward[state]
+    pop.reward_sums += rewards
+    return rewards
 
 
 def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) -> np.ndarray:
@@ -293,7 +330,6 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
     if tables is None or tables.process is not process:
         tables = pop.urgency_tables = _UrgencyTables.build(process)
     perm = rng.permutation(n)
-    first, second = perm[0::2], perm[1::2]
     coin_first = rng.random(n // 2) < 0.5
 
     bids: Optional[np.ndarray] = None
@@ -307,11 +343,8 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
         # policy but the bid must never exceed the true balance.
         np.minimum(bids, pop.karma, out=bids)
 
-    first_wins = _pick_winners(pop, mechanism, first, second, coin_first, bids)
-    won = np.empty(n, dtype=bool)
-    won[first] = first_wins
-    won[second] = ~first_wins
-    del perm, first, second, coin_first, first_wins
+    won = _pick_winners(pop, mechanism, perm, coin_first, bids)
+    del perm, coin_first
 
     if mechanism.kind is MechanismKind.KARMA:
         bids *= won
@@ -323,16 +356,63 @@ def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) ->
         if extra:
             pop.karma[rng.choice(n, size=extra, replace=False)] += 1
 
-    pop.wins += won
-    # urgency state outcome * n_levels + u, outcome 0 for winners
-    state = np.multiply(~won, process.n_levels, dtype=np.int64)
-    state += pop.u
-    pop.u = None  # the state carries the old urgencies into the draw
-    pop.u = _sample_guided(tables.cdf, tables.guide, state, rng.random(n))
-    rewards = np.take(tables.reward, state)
+    return _settle(pop, tables, won, rng.random(n))
 
-    pop.reward_sums += rewards
-    return rewards
+
+def _measure(
+    process: UrgencyProcess,
+    config: GameConfig,
+    mechanisms: list[Mechanism],
+    pops: list[Population],
+    play: Callable[[], list[float]],
+) -> list[MetricsReport]:
+    """Burn-in plus n_rounds measured rounds, and one report per population.
+
+    play() plays one round of every population, pops[i] under
+    mechanisms[i], and returns their mean rewards in that order. The
+    populations end here: each report's per_agent_avg is its population's
+    reward_sums, divided in place.
+    """
+    for _ in range(config.burn_in):
+        play()
+    # Every reward is an integer (0 or -level), so reward_sums holds exact
+    # sums: clearing it here gives the bits that subtracting a copy of the
+    # burn-in sums gave, while max(level) * (burn_in + n_rounds) < 2**53.
+    for pop in pops:
+        pop.reward_sums.fill(0.0)
+
+    n_rounds, n_levels = config.n_rounds, process.n_levels
+    round_means = np.empty((len(pops), n_rounds))
+    urgency_counts = np.zeros((len(pops), n_levels))
+    histograms = [np.empty((n_rounds, config.k_max + 1), dtype=np.int64)
+                  if mechanism.kind is MechanismKind.KARMA else None for mechanism in mechanisms]
+    for t in range(n_rounds):
+        for counts, pop in zip(urgency_counts, pops):
+            counts += np.bincount(pop.u, minlength=n_levels)
+        round_means[:, t] = play()
+        for hist, pop in zip(histograms, pops):
+            if hist is not None:
+                hist[t] = np.bincount(np.minimum(pop.karma, config.k_max), minlength=config.k_max + 1)
+
+    reports = []
+    for mechanism, pop, means, counts, hist in zip(
+            mechanisms, pops, round_means, urgency_counts, histograms):
+        per_agent_avg = pop.reward_sums
+        per_agent_avg /= n_rounds
+        reports.append(MetricsReport(
+            mechanism=mechanism.kind.value,
+            seed=config.rng_seed,
+            n_agents=config.n_agents,
+            n_rounds=n_rounds,
+            burn_in=config.burn_in,
+            r_bar=float(per_agent_avg.mean()),
+            beta=-float(per_agent_avg.std()),
+            per_agent_avg=per_agent_avg,
+            round_mean_rewards=means,
+            urgency_marginal=counts / counts.sum(),
+            karma_histograms=hist,
+        ))
+    return reports
 
 
 def run_experiment(
@@ -351,36 +431,35 @@ def run_experiment(
         raise ParameterError(f"policy has {mechanism.policy.shape[0]} urgency levels, "
                              f"the process {process.n_levels}")
     pop = initialize_population(config)
-    for _ in range(config.burn_in):
-        run_round(pop, process, mechanism)
+    return _measure(process, config, [mechanism], [pop],
+                    lambda: [run_round(pop, process, mechanism).mean()])[0]
 
-    n_rounds = config.n_rounds
-    baseline = pop.reward_sums.copy()
-    round_means = np.empty(n_rounds)
-    urgency_counts = np.zeros(process.n_levels)
-    track_karma = mechanism.kind is MechanismKind.KARMA
-    histograms = np.empty((n_rounds, config.k_max + 1), dtype=np.int64) if track_karma else None
 
-    for t in range(n_rounds):
-        urgency_counts += np.bincount(pop.u, minlength=process.n_levels)
-        rewards = run_round(pop, process, mechanism)
-        round_means[t] = rewards.mean()
-        if track_karma:
-            histograms[t] = np.bincount(
-                np.minimum(pop.karma, config.k_max), minlength=config.k_max + 1
-            )
+def run_baselines(process: UrgencyProcess, config: GameConfig) -> list[MetricsReport]:
+    """The reports of RANDOM, TURN and GREEDY_URGENCY, in that order, each
+    equal to run_experiment's for that mechanism in every field.
 
-    per_agent_avg = (pop.reward_sums - baseline) / n_rounds
-    return MetricsReport(
-        mechanism=mechanism.kind.value,
-        seed=config.rng_seed,
-        n_agents=config.n_agents,
-        n_rounds=n_rounds,
-        burn_in=config.burn_in,
-        r_bar=float(per_agent_avg.mean()),
-        beta=-float(per_agent_avg.std()),
-        per_agent_avg=per_agent_avg,
-        round_mean_rewards=round_means,
-        urgency_marginal=urgency_counts / urgency_counts.sum(),
-        karma_histograms=histograms,
-    )
+    A baseline draws only the round's permutation, tie coins and urgency
+    uniforms, so under one seed the three draw the same values. Here one
+    generator seeded from config.rng_seed draws them once per round, and
+    the three populations play on them stage by stage: every outcome
+    mask, then the shared uniforms, then every urgency step. The
+    populations hold no karma, and only TURN's counts wins.
+    """
+    n = config.n_agents
+    rng = np.random.default_rng(config.rng_seed)
+    tables = _UrgencyTables.build(process)
+    mechanisms = [Mechanism(kind) for kind in ("RANDOM", "TURN", "GREEDY_URGENCY")]
+    pops = [_new_population(config, rng, karma=False, wins=mechanism.kind is MechanismKind.TURN)
+            for mechanism in mechanisms]
+
+    def play() -> list[float]:
+        perm = rng.permutation(n)
+        coin_first = rng.random(n // 2) < 0.5
+        won = [_pick_winners(pop, mechanism, perm, coin_first, None)
+               for pop, mechanism in zip(pops, mechanisms)]
+        del perm, coin_first
+        draws = rng.random(n)
+        return [_settle(pop, tables, won.pop(0), draws).mean() for pop in pops]
+
+    return _measure(process, config, mechanisms, pops, play)

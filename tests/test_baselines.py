@@ -151,8 +151,9 @@ class TestTurnChoose:
         # The winner rule reads only the kind, so any valid KARMA policy will do.
         mechanism = Mechanism(kind, policy=np.ones((1, 1)) if kind == "KARMA" else None)
         bids = None if bids is None else np.asarray(bids, dtype=np.int64)
-        first, second, coin_first = np.array([0]), np.array([1]), np.array([coin])
-        return bool(_pick_winners(pop, mechanism, first, second, coin_first, bids)[0])
+        # Agents 0 and 1 form the one pair, agent 0 first.
+        won = _pick_winners(pop, mechanism, np.array([0, 1]), np.array([coin]), bids)
+        return bool(won[0])
 
     def test_lower_fraction_wins(self):
         for coin in (True, False):

@@ -361,8 +361,7 @@ class TestCompareCommand:
         stages = {"solve_value_seconds", "solve_q_seconds", "solve_best_response_seconds",
                   "solve_update_seconds"}
         assert set(timings) == stages | {
-            "solve_seconds", "lp_seconds", "simulate_karma_seconds", "simulate_random_seconds",
-            "simulate_turn_seconds", "simulate_greedy_urgency_seconds",
+            "solve_seconds", "lp_seconds", "simulate_karma_seconds", "simulate_baselines_seconds",
         }
         assert sum(timings[name] for name in stages) <= timings["solve_seconds"]
         assert all(value >= 0 for value in timings.values())

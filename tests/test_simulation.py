@@ -535,6 +535,62 @@ def test_round_keeps_a_small_working_set(case_process, kind):
     assert peak < ROUND_PEAK_ARRAYS[kind] * n * 8
 
 
+def test_experiments_keep_a_small_working_set(case_process, case_equilibrium):
+    # Bounds in N-length int64 arrays, over a whole experiment after a
+    # warm-up run. KARMA's run_experiment peaked at 10.8 while it copied the
+    # burn-in reward sums and kept each round's rewards into the next; it
+    # now reads 8.8. The baseline group holds seven population arrays
+    # (three u, three reward_sums, TURN's wins) and reads 10.0: below what
+    # KARMA's run, and so compare's simulation stage, peaked at before.
+    n = 20000
+    config = GameConfig(n_agents=n, n_rounds=5, burn_in=2, rng_seed=5)
+    karma = Mechanism.karma(case_equilibrium)
+    peaks = {}
+    for name, action in (("KARMA", lambda: run_experiment(case_process, config, karma)),
+                         ("baselines", lambda: simulation.run_baselines(case_process, config))):
+        action()  # a first run may import and cache; only the second is counted
+        peaks[name] = traced_peak(action) / (n * 8)
+    assert peaks["KARMA"] < 9.5
+    assert peaks["baselines"] < 10.5
+
+
+def test_baseline_populations_hold_only_what_their_rules_read(case_process, monkeypatch):
+    pops = []
+    new_population = simulation._new_population
+
+    def recorded(*args, **kwargs):
+        pops.append(new_population(*args, **kwargs))
+        return pops[-1]
+
+    monkeypatch.setattr(simulation, "_new_population", recorded)
+    simulation.run_baselines(case_process, GameConfig(n_agents=10, n_rounds=3, burn_in=1))
+    assert [pop.karma for pop in pops] == [None, None, None]
+    assert [pop.wins is not None for pop in pops] == [False, True, False]  # RANDOM, TURN, GREEDY
+    assert pops[0].rng is pops[1].rng is pops[2].rng
+
+
+def assert_reports_equal(got, expected) -> None:
+    assert (got.mechanism, got.seed, got.n_agents, got.n_rounds, got.burn_in) == (
+        expected.mechanism, expected.seed, expected.n_agents, expected.n_rounds, expected.burn_in)
+    assert (repr(got.r_bar), repr(got.beta)) == (repr(expected.r_bar), repr(expected.beta))
+    for name in ("per_agent_avg", "round_mean_rewards", "urgency_marginal"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+    assert got.karma_histograms is expected.karma_histograms is None
+
+
+@pytest.mark.parametrize("levels, config", [
+    ([1, 2, 4, 8, 16], GameConfig(rng_seed=20250809)),
+    ([1, 2, 4, 8, 16], GameConfig(rng_seed=7)),
+    ([1, 3], GameConfig(n_agents=2, burn_in=0, n_rounds=40, k_bar=1, k_max=2, rng_seed=7)),
+], ids=["case-study-20250809", "case-study-7", "two-levels-two-agents"])
+def test_baselines_equal_their_own_experiments(levels, config):
+    process = build_urgency_process(levels, 0.04)
+    reports = simulation.run_baselines(process, config)
+    assert [report.mechanism for report in reports] == ["RANDOM", "TURN", "GREEDY_URGENCY"]
+    for report in reports:
+        assert_reports_equal(report, run_experiment(process, config, Mechanism(report.mechanism)))
+
+
 def test_karma_mechanism_builds_the_bid_table_in_place(case_process):
     k_max = 160
     policy = uniform_policy(case_process.n_levels, k_max)
