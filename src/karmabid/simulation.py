@@ -273,24 +273,30 @@ def _pick_winners(
     """One boolean per agent, True for the winner of its pair. The pairs
     are (perm[0::2], perm[1::2]): higher priority wins, a tie takes
     coin_first, True for the first agent."""
-    first, second = perm[0::2], perm[1::2]
     if mechanism.kind is MechanismKind.RANDOM:
         first_wins = coin_first
     else:
+        # One gather in seat order, perm[j] in seat j, reads the pairs as
+        # its even and odd seats.
         if mechanism.kind is MechanismKind.KARMA:
-            pf, ps = bids[first], bids[second]
+            seats = bids[perm]
         elif mechanism.kind is MechanismKind.GREEDY_URGENCY:
-            pf, ps = pop.u[first], pop.u[second]
+            seats = pop.u[perm]
         else:
+            seats = pop.wins[perm]
+        pf, ps = seats[0::2], seats[1::2]
+        if mechanism.kind is MechanismKind.TURN:
             # Everyone plays every round, so all win fractions share one
             # denominator and comparing win counts gives the same decisions;
             # the fewer wins have the priority, so the pair is read swapped.
-            pf, ps = pop.wins[second], pop.wins[first]
+            pf, ps = ps, pf
         first_wins = np.where(pf == ps, coin_first, pf > ps)
-        del pf, ps
-    won = np.empty(perm.shape[0], dtype=bool)
-    won[first] = first_wins
-    won[second] = ~first_wins
+        del seats, pf, ps
+    seat_won = np.empty(perm.shape[0], dtype=bool)
+    seat_won[0::2] = first_wins
+    seat_won[1::2] = ~first_wins
+    won = np.empty_like(seat_won)
+    won[perm] = seat_won
     return won
 
 
@@ -300,14 +306,12 @@ def _settle(pop: Population, tables: _UrgencyTables, won: np.ndarray, draws: np.
     the rewards, already added to reward_sums."""
     if pop.wins is not None:
         pop.wins += won
-    # urgency state outcome * n_levels + u, outcome 0 for winners, in the
-    # smallest type that holds it (uint8 up to 128 levels): indexing with
-    # it casts in buffered blocks, where np.take would copy it to intp.
-    state = np.multiply(~won, tables.process.n_levels, dtype=np.min_scalar_type(tables.reward.size - 1))
-    np.add(state, pop.u, out=state, casting="unsafe")
+    # urgency state outcome * n_levels + u, outcome 0 for winners
+    state = np.multiply(~won, tables.process.n_levels, dtype=np.int64)
+    state += pop.u
     pop.u = None  # the state carries the old urgencies into the draw
     pop.u = _sample_guided(tables.cdf, tables.guide, state, draws)
-    rewards = tables.reward[state]
+    rewards = np.take(tables.reward, state)
     pop.reward_sums += rewards
     return rewards
 

@@ -540,7 +540,7 @@ def test_experiments_keep_a_small_working_set(case_process, case_equilibrium):
     # warm-up run. KARMA's run_experiment peaked at 10.8 while it copied the
     # burn-in reward sums and kept each round's rewards into the next; it
     # now reads 8.8. The baseline group holds seven population arrays
-    # (three u, three reward_sums, TURN's wins) and reads 10.0: below what
+    # (three u, three reward_sums, TURN's wins) and reads 10.4: below what
     # KARMA's run, and so compare's simulation stage, peaked at before.
     n = 20000
     config = GameConfig(n_agents=n, n_rounds=5, burn_in=2, rng_seed=5)
@@ -551,7 +551,7 @@ def test_experiments_keep_a_small_working_set(case_process, case_equilibrium):
         action()  # a first run may import and cache; only the second is counted
         peaks[name] = traced_peak(action) / (n * 8)
     assert peaks["KARMA"] < 9.5
-    assert peaks["baselines"] < 10.5
+    assert peaks["baselines"] < 10.75
 
 
 def test_baseline_populations_hold_only_what_their_rules_read(case_process, monkeypatch):
