@@ -248,8 +248,11 @@ def _keep_freed_memory() -> None:
     free there, so every round faulted those pages back in: about 130 000
     minor faults per simulation stage of a compare at N = 10**5. Blocks up
     to 32 MiB (glibc's cap) now come from the heap, and freed heap memory
-    goes back only beyond 1 GiB. Without glibc's mallopt nothing changes.
+    goes back only beyond 1 GiB. Off Linux, or without mallopt, nothing
+    changes.
     """
+    if not sys.platform.startswith("linux"):
+        return
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
