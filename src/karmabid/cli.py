@@ -3,8 +3,6 @@
 Every command times its stages with _timed, writes JSON with _write_json
 and CSV with _write_csv, and ends in _finish, which writes manifest.json
 and prints the summary. This is the only module that writes files.
-main first lets glibc's malloc keep freed memory (_keep_freed_memory),
-so the simulator's rounds reuse their arrays' pages.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 solver
 non-convergence, a value solve that misses tol_value, or LP failure,
@@ -14,7 +12,6 @@ non-convergence, a value solve that misses tol_value, or LP failure,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import sys
@@ -197,7 +194,7 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     def row_of(report):
         return report.mechanism, repr(report.r_bar), repr(report.beta)
 
-    # KARMA's report is dropped before the baselines run, which peak higher.
+    # Only KARMA's row outlives its report, so the baselines run without it.
     rows = [row_of(_timed(timings, "simulate_karma_seconds",
                           run_experiment, setup.process, setup.game, Mechanism.karma(result)))]
     rows += map(row_of, _timed(timings, "simulate_baselines_seconds",
@@ -234,36 +231,9 @@ def cmd_lp(setup: RunSetup, out: Path) -> int:
                    outputs={"lp": str(out / "lp.json")}, timings=timings)
 
 
-# glibc mallopt parameters (malloc.h).
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_memory() -> None:
-    """Let glibc's malloc keep freed memory in the process for reuse.
-
-    A simulated round frees its N-length arrays and the next round
-    allocates them again. By default glibc returns the top of its heap to
-    the kernel once more than twice the largest recently freed block lies
-    free there, so every round faulted those pages back in: about 130 000
-    minor faults per simulation stage of a compare at N = 10**5. Blocks up
-    to 32 MiB (glibc's cap) now come from the heap, and freed heap memory
-    goes back only beyond 1 GiB. Off Linux, or without mallopt, nothing
-    changes.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _keep_freed_memory()
     try:
         setup = load_config(args.config)
         if args.seed is not None:

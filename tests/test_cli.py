@@ -2,18 +2,12 @@
 
 import dataclasses
 import json
-import os
-import platform
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import karmabid
 from karmabid import ParameterError, RunSetup, build_max_eff_lp, load_config, solve_lp, solve_sne
 from karmabid.cli import main
 from karmabid.config import DEFAULTS, RunManifest, setup_from_mapping
@@ -426,34 +420,3 @@ def test_manifest_names_the_outputs_and_timings(argv, outputs, timings, tiny_con
               "solve_update_seconds"}
     assert set(manifest.timings) == timings | (stages if "solve_seconds" in timings else set())
     assert all(value >= 0 for value in manifest.timings.values())
-
-
-CHURN = """
-import resource, sys
-import numpy as np
-from karmabid.cli import _keep_freed_memory
-if sys.argv[1] == "keep":
-    _keep_freed_memory()
-def churn():  # what a round does: allocate N-length arrays, then free them
-    for _ in range(20):
-        arrays = [np.ones(100_000) for _ in range(4)]
-        del arrays
-churn()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-churn()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-def test_freed_arrays_stay_in_the_process():
-    if platform.libc_ver()[0] != "glibc":
-        pytest.skip("the trim rule measured here is glibc's")
-    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
-    env["PYTHONPATH"] = str(Path(karmabid.__file__).parents[1])
-    faults = {mode: int(subprocess.run([sys.executable, "-c", CHURN, mode], env=env, check=True,
-                                       capture_output=True, text=True).stdout)
-              for mode in ("default", "keep")}
-    # 20 rounds of four 800 KB arrays are 15 600 pages: glibc's default
-    # trim hands most of them back and faults them in again.
-    assert faults["default"] > 5000
-    assert faults["keep"] < 500
