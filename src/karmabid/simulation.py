@@ -141,7 +141,8 @@ class Population:
     urgency_tables caches the round tables of the process the population
     last played under; run_round rebuilds them when the process changes.
     run_baselines' populations leave karma None, and wins too except
-    TURN's, since nothing reads them there.
+    TURN's, since nothing reads them there; their u is the smallest
+    unsigned type that holds every urgency level.
     """
 
     u: np.ndarray
@@ -200,10 +201,12 @@ def initialize_population(config: GameConfig) -> Population:
     return _new_population(config, np.random.default_rng(config.rng_seed), karma=True, wins=True)
 
 
-def _new_population(config: GameConfig, rng: np.random.Generator, karma: bool, wins: bool) -> Population:
+def _new_population(
+    config: GameConfig, rng: np.random.Generator, karma: bool, wins: bool, u_dtype=np.int64
+) -> Population:
     n = config.n_agents
     return Population(
-        u=np.zeros(n, dtype=np.int64),
+        u=np.zeros(n, dtype=u_dtype),
         karma=np.full(n, config.k_bar, dtype=np.int64) if karma else None,
         wins=np.zeros(n, dtype=np.int64) if wins else None,
         reward_sums=np.zeros(n, dtype=float),
@@ -303,14 +306,15 @@ def _pick_winners(
 def _settle(pop: Population, tables: _UrgencyTables, won: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """The round's last stage: count the wins (where pop keeps them), draw
     the next urgencies from the uniforms draws (never written), and return
-    the rewards, already added to reward_sums."""
+    the rewards, already added to reward_sums. pop.u keeps its dtype."""
     if pop.wins is not None:
         pop.wins += won
     # urgency state outcome * n_levels + u, outcome 0 for winners
     state = np.multiply(~won, tables.process.n_levels, dtype=np.int64)
     state += pop.u
+    u_dtype = pop.u.dtype
     pop.u = None  # the state carries the old urgencies into the draw
-    pop.u = _sample_guided(tables.cdf, tables.guide, state, draws)
+    pop.u = _sample_guided(tables.cdf, tables.guide, state, draws).astype(u_dtype, copy=False)
     rewards = np.take(tables.reward, state)
     pop.reward_sums += rewards
     return rewards
@@ -448,13 +452,17 @@ def run_baselines(process: UrgencyProcess, config: GameConfig) -> list[MetricsRe
     generator seeded from config.rng_seed draws them once per round, and
     the three populations play on them stage by stage: every outcome
     mask, then the shared uniforms, then every urgency step. The
-    populations hold no karma, and only TURN's counts wins.
+    populations hold no karma, only TURN's counts wins, and each keeps
+    its urgencies in one byte while there are at most 256 levels: the
+    group peaks below KARMA's run_experiment.
     """
     n = config.n_agents
     rng = np.random.default_rng(config.rng_seed)
     tables = _UrgencyTables.build(process)
     mechanisms = [Mechanism(kind) for kind in ("RANDOM", "TURN", "GREEDY_URGENCY")]
-    pops = [_new_population(config, rng, karma=False, wins=mechanism.kind is MechanismKind.TURN)
+    u_dtype = np.min_scalar_type(process.n_levels - 1)
+    pops = [_new_population(config, rng, karma=False, wins=mechanism.kind is MechanismKind.TURN,
+                            u_dtype=u_dtype)
             for mechanism in mechanisms]
 
     def play() -> list[float]:
