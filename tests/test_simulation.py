@@ -537,11 +537,11 @@ def test_round_keeps_a_small_working_set(case_process, kind):
 
 def test_baseline_group_peaks_below_karma(case_process, case_equilibrium):
     # Peaks over a whole experiment after a warm-up run, in N-length 8-byte
-    # arrays. KARMA's run_experiment reads 8.8 (10.8 while it copied the
-    # burn-in reward sums and kept each round's rewards into the next). The
-    # group holds four 8-byte population arrays (three reward_sums, TURN's
-    # wins) and three one-byte u, and reads 8.4, so compare's simulation
-    # peak stays KARMA's.
+    # arrays: KARMA's run_experiment reads 8.8, which it exceeds only if it
+    # copies the burn-in reward sums or keeps a round's rewards into the
+    # next. The group holds four 8-byte population arrays (three
+    # reward_sums, TURN's wins) and three one-byte u, and reads 8.4, so
+    # compare's simulation peak stays KARMA's.
     n = 20000
     config = GameConfig(n_agents=n, n_rounds=5, burn_in=2, rng_seed=5)
     karma = Mechanism.karma(case_equilibrium)
