@@ -197,8 +197,9 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     # Only KARMA's row outlives its report, so the baselines run without it.
     rows = [row_of(_timed(timings, "simulate_karma_seconds",
                           run_experiment, setup.process, setup.game, Mechanism.karma(result)))]
+    baselines = [Mechanism(kind) for kind in ("RANDOM", "TURN", "GREEDY_URGENCY")]
     rows += map(row_of, _timed(timings, "simulate_baselines_seconds",
-                               run_baselines, setup.process, setup.game))
+                               run_baselines, setup.process, setup.game, baselines))
     rows.append(("MAX_EFF_LP", repr(lp_value), ""))
 
     comparison_path = out / "comparison.csv"

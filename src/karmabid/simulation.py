@@ -17,7 +17,7 @@ in a bucket, or a mark where a column boundary cuts the bucket. A draw
 then costs one gather; the few draws that land in a cut bucket count
 the entries of their row below the draw, in blocks of bounded size.
 The bid tables are built once per Mechanism and the urgency tables once
-per population and process, so a round builds no per-agent row table.
+per experiment, so a round builds no per-agent row table.
 
 A round never scatters through winner or loser index arrays: one boolean
 per agent records the outcome, and the urgency state
@@ -28,11 +28,12 @@ permutation, bid state, draws and bids, while KARMA draws its bids.
 
 All randomness flows through one seeded generator in a fixed draw order,
 so runs are reproducible bit for bit from (config, mechanism, seed).
-RANDOM, TURN and GREEDY_URGENCY draw only each round's permutation, tie
-coins and urgency uniforms, so under one seed their draws are the same.
-run_baselines, which compare uses, plays the three on one generator
-that draws each value once, and each population meets the draws in the
-order run_round gives it: its reports equal run_experiment's bit for bit.
+run_round plays KARMA's round. RANDOM, TURN and GREEDY_URGENCY draw only
+each round's permutation, tie coins and urgency uniforms, so under one
+seed their draws are the same: _baseline_round plays any group of them
+on one generator that draws each value once. simulate plays a group of
+one and compare a group of three, and a population's reports are the
+same bit for bit in either.
 """
 
 from __future__ import annotations
@@ -121,7 +122,6 @@ class _UrgencyTables:
     (0 for a win, -level for a loss), the cumulative next-level table
     cumsum(phi, axis=2) and its guide table."""
 
-    process: UrgencyProcess
     reward: np.ndarray
     cdf: np.ndarray
     guide: np.ndarray
@@ -131,15 +131,13 @@ class _UrgencyTables:
         n_levels = process.n_levels
         cdf = np.cumsum(process.phi, axis=2).reshape(-1, n_levels)
         reward = np.concatenate([np.zeros(n_levels), -process.level_values])
-        return cls(process=process, reward=reward, cdf=cdf, guide=_guide_table(cdf))
+        return cls(reward=reward, cdf=cdf, guide=_guide_table(cdf))
 
 
 @dataclass
 class Population:
     """State of the N simulated agents, stored as parallel arrays.
 
-    urgency_tables caches the round tables of the process the population
-    last played under; run_round rebuilds them when the process changes.
     run_baselines' populations leave karma None, and wins too except
     TURN's, since nothing reads them there; their u is the smallest
     unsigned type that holds every urgency level.
@@ -150,7 +148,6 @@ class Population:
     wins: Optional[np.ndarray]
     reward_sums: np.ndarray
     rng: np.random.Generator
-    urgency_tables: Optional[_UrgencyTables] = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -310,7 +307,7 @@ def _settle(pop: Population, tables: _UrgencyTables, won: np.ndarray, draws: np.
     if pop.wins is not None:
         pop.wins += won
     # urgency state outcome * n_levels + u, outcome 0 for winners
-    state = np.multiply(~won, tables.process.n_levels, dtype=np.int64)
+    state = np.multiply(~won, tables.cdf.shape[1], dtype=np.int64)
     state += pop.u
     u_dtype = pop.u.dtype
     pop.u = None  # the state carries the old urgencies into the draw
@@ -320,51 +317,62 @@ def _settle(pop: Population, tables: _UrgencyTables, won: np.ndarray, draws: np.
     return rewards
 
 
-def run_round(pop: Population, process: UrgencyProcess, mechanism: Mechanism) -> np.ndarray:
-    """Play one full round in place and return the per-agent rewards.
+def run_round(pop: Population, tables: _UrgencyTables, mechanism: Mechanism) -> np.ndarray:
+    """Play one KARMA round in place on the process's urgency tables and
+    return the per-agent rewards.
 
-    Draw order is fixed: matching permutation, tie coins, karma bid
-    draws, redistribution picks, urgency draws. Payments and
-    redistribution are integer-exact, so the karma total is conserved to
-    the unit.
-
-    Each stage keeps only what the next one reads: the permutation until
-    the outcome mask exists, KARMA's bids until paid, and the old
-    urgencies until the urgency state holds them.
+    Draw order is fixed: matching permutation, tie coins, bid draws,
+    redistribution picks, urgency draws. Payments and redistribution are
+    integer-exact, so the karma total is conserved to the unit. Each stage
+    keeps only what the next one reads: the permutation until the outcome
+    mask exists, the bids until paid, and the old urgencies until the
+    urgency state holds them.
     """
     n = pop.n
     rng = pop.rng
-    tables = pop.urgency_tables
-    if tables is None or tables.process is not process:
-        tables = pop.urgency_tables = _UrgencyTables.build(process)
     perm = rng.permutation(n)
     coin_first = rng.random(n // 2) < 0.5
-
-    bids: Optional[np.ndarray] = None
-    if mechanism.kind is MechanismKind.KARMA:
-        nk = mechanism.bid_cdf.shape[1]
-        state = np.minimum(pop.karma, nk - 1)
-        state += pop.u * nk
-        bids = _sample_guided(mechanism.bid_cdf, mechanism.bid_guide, state, rng.random(n))
-        del state
-        # Balances above the policy truncation look like k_max to the
-        # policy but the bid must never exceed the true balance.
-        np.minimum(bids, pop.karma, out=bids)
+    nk = mechanism.bid_cdf.shape[1]
+    state = np.minimum(pop.karma, nk - 1)
+    state += pop.u * nk
+    bids = _sample_guided(mechanism.bid_cdf, mechanism.bid_guide, state, rng.random(n))
+    del state
+    # Balances above the policy truncation look like k_max to the
+    # policy but the bid must never exceed the true balance.
+    np.minimum(bids, pop.karma, out=bids)
 
     won = _pick_winners(pop, mechanism, perm, coin_first, bids)
     del perm, coin_first
-
-    if mechanism.kind is MechanismKind.KARMA:
-        bids *= won
-        pop.karma -= bids
-        pool = int(bids.sum())
-        del bids
-        share, extra = divmod(pool, n)
-        pop.karma += share
-        if extra:
-            pop.karma[rng.choice(n, size=extra, replace=False)] += 1
+    bids *= won
+    pop.karma -= bids
+    pool = int(bids.sum())
+    del bids
+    share, extra = divmod(pool, n)
+    pop.karma += share
+    if extra:
+        pop.karma[rng.choice(n, size=extra, replace=False)] += 1
 
     return _settle(pop, tables, won, rng.random(n))
+
+
+def _baseline_round(
+    pops: list[Population], mechanisms: list[Mechanism], tables: _UrgencyTables
+) -> list[float]:
+    """Play one round of the baseline populations in place, pops[i] under
+    mechanisms[i] on the process's urgency tables, and return their mean
+    rewards. Their one generator draws the matching, the tie coins and the
+    urgency uniforms once for the group. Every outcome mask comes first,
+    then the uniforms, then every urgency step, so a population meets the
+    same draws in a group of any size.
+    """
+    rng, n = pops[0].rng, pops[0].n
+    perm = rng.permutation(n)
+    coin_first = rng.random(n // 2) < 0.5
+    won = [_pick_winners(pop, mechanism, perm, coin_first, None)
+           for pop, mechanism in zip(pops, mechanisms)]
+    del perm, coin_first
+    draws = rng.random(n)
+    return [_settle(pop, tables, won.pop(0), draws).mean() for pop in pops]
 
 
 def _measure(
@@ -429,49 +437,39 @@ def run_experiment(
     """Run burn-in plus n_rounds measured rounds and compute the metrics.
 
     The burn-in rounds are excluded from every metric. Deterministic for
-    identical (process, config, mechanism).
+    identical (process, config, mechanism). A baseline runs as
+    run_baselines' group of one.
 
     Raises:
         ParameterError: if a KARMA policy has another number of urgency
             levels than the process.
     """
-    if mechanism.policy is not None and mechanism.policy.shape[0] != process.n_levels:
+    if mechanism.kind is not MechanismKind.KARMA:
+        return run_baselines(process, config, [mechanism])[0]
+    if mechanism.policy.shape[0] != process.n_levels:
         raise ParameterError(f"policy has {mechanism.policy.shape[0]} urgency levels, "
                              f"the process {process.n_levels}")
     pop = initialize_population(config)
+    tables = _UrgencyTables.build(process)
     return _measure(process, config, [mechanism], [pop],
-                    lambda: [run_round(pop, process, mechanism).mean()])[0]
+                    lambda: [run_round(pop, tables, mechanism).mean()])[0]
 
 
-def run_baselines(process: UrgencyProcess, config: GameConfig) -> list[MetricsReport]:
-    """The reports of RANDOM, TURN and GREEDY_URGENCY, in that order, each
-    equal to run_experiment's for that mechanism in every field.
-
-    A baseline draws only the round's permutation, tie coins and urgency
-    uniforms, so under one seed the three draw the same values. Here one
-    generator seeded from config.rng_seed draws them once per round, and
-    the three populations play on them stage by stage: every outcome
-    mask, then the shared uniforms, then every urgency step. The
-    populations hold no karma, only TURN's counts wins, and each keeps
-    its urgencies in one byte while there are at most 256 levels: the
-    group peaks below KARMA's run_experiment.
+def run_baselines(
+    process: UrgencyProcess, config: GameConfig, mechanisms: list[Mechanism]
+) -> list[MetricsReport]:
+    """The reports of the baselines (RANDOM, TURN or GREEDY_URGENCY) in
+    mechanisms, in that order, played by _baseline_round on one generator
+    seeded from config.rng_seed. A report does not depend on the group.
+    The populations hold no karma, only TURN's counts wins, and each keeps
+    its urgencies in one byte while there are at most 256 levels: a group
+    of three peaks below KARMA's run_experiment.
     """
-    n = config.n_agents
     rng = np.random.default_rng(config.rng_seed)
     tables = _UrgencyTables.build(process)
-    mechanisms = [Mechanism(kind) for kind in ("RANDOM", "TURN", "GREEDY_URGENCY")]
     u_dtype = np.min_scalar_type(process.n_levels - 1)
     pops = [_new_population(config, rng, karma=False, wins=mechanism.kind is MechanismKind.TURN,
                             u_dtype=u_dtype)
             for mechanism in mechanisms]
-
-    def play() -> list[float]:
-        perm = rng.permutation(n)
-        coin_first = rng.random(n // 2) < 0.5
-        won = [_pick_winners(pop, mechanism, perm, coin_first, None)
-               for pop, mechanism in zip(pops, mechanisms)]
-        del perm, coin_first
-        draws = rng.random(n)
-        return [_settle(pop, tables, won.pop(0), draws).mean() for pop in pops]
-
-    return _measure(process, config, mechanisms, pops, play)
+    return _measure(process, config, mechanisms, pops,
+                    lambda: _baseline_round(pops, mechanisms, tables))

@@ -20,7 +20,7 @@ from karmabid import (
     solve_lp,
 )
 from karmabid.cli import main
-from karmabid.simulation import initialize_population, run_round
+from karmabid.simulation import _UrgencyTables, initialize_population, run_round
 from oracles import deviation_gains_oracle, random_long_run_reward, unpack, vertex_enumeration_lp
 
 SEEDS = (11, 12, 13, 14, 15)
@@ -197,11 +197,12 @@ def test_criterion_7_literal_lp_efficiency_bar(lp_solution, seeded_reports):
 def test_criterion_8_exact_karma_conservation(case_process, case_config, case_equilibrium):
     mechanism = Mechanism.karma(case_equilibrium)
     pop = initialize_population(case_config)
+    tables = _UrgencyTables.build(case_process)
     expected_total = case_config.n_agents * case_config.k_bar
     violations = 0
     rounds = case_config.burn_in + case_config.n_rounds
     for _ in range(rounds):
-        run_round(pop, case_process, mechanism)
+        run_round(pop, tables, mechanism)
         if int(pop.karma.sum()) != expected_total:
             violations += 1
     ok = violations == 0

@@ -16,7 +16,9 @@ from karmabid import (
     solve_lp,
 )
 from karmabid.simplex import LpInfeasibleError
-from karmabid.simulation import Population, _pick_winners, initialize_population, run_round
+from karmabid.simulation import (
+    Population, _UrgencyTables, _baseline_round, _pick_winners, initialize_population,
+)
 from oracles import (
     mixture_stationary_distribution,
     power_iteration_oracle,
@@ -175,9 +177,10 @@ class TestTurnChoose:
     def test_two_agents_alternate_to_half(self, case_process):
         config = GameConfig(n_agents=2, rng_seed=7)
         pop = initialize_population(config)
+        tables = _UrgencyTables.build(case_process)
         rounds = 1000
         for _ in range(rounds):
-            run_round(pop, case_process, Mechanism("TURN"))
+            _baseline_round([pop], [Mechanism("TURN")], tables)
         # The counters are updated every round, so the two agents take
         # turns and their win counts never differ by more than one.
         assert int(pop.wins.sum()) == rounds

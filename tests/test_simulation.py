@@ -23,7 +23,8 @@ from karmabid import (
 from karmabid import load_config, simulation
 from karmabid.cli import main
 from karmabid.simulation import (
-    _GUIDE_BUCKETS, _guide_table, _sample_guided, initialize_population, run_round,
+    _GUIDE_BUCKETS, _UrgencyTables, _baseline_round, _guide_table, _sample_guided,
+    initialize_population, run_round,
 )
 from oracles import (
     mixture_stationary_distribution, pack, random_long_run_reward, sample_rows_oracle, unpack,
@@ -140,20 +141,23 @@ class TestRunRound:
         mechanism = Mechanism(kind=MechanismKind.KARMA,
                               policy=uniform_policy(process.n_levels, config.k_max))
         pop = initialize_population(config)
+        tables = _UrgencyTables.build(process)
         total = config.n_agents * config.k_bar
         for _ in range(200):
-            run_round(pop, process, mechanism)
+            run_round(pop, tables, mechanism)
             assert int(pop.karma.sum()) == total
             assert pop.karma.min() >= 0
+        assert pop.u.dtype == np.int64
 
     def test_winner_reward_zero_loser_pays_urgency(self, small_setup):
         process, config = small_setup
         pop = initialize_population(config)
+        tables = _UrgencyTables.build(process)
         levels = np.asarray(process.levels, float)
         for _ in range(30):
             urgency_before = pop.u.copy()
             wins_before = pop.wins.copy()
-            rewards = run_round(pop, process, Mechanism("RANDOM"))
+            rewards = baseline_rewards(pop, tables, Mechanism("RANDOM"))
             winner_mask = pop.wins > wins_before
             assert winner_mask.sum() == config.n_agents // 2
             assert (rewards[winner_mask] == 0).all()
@@ -167,10 +171,11 @@ class TestRunRound:
         process = build_urgency_process([1, 16], 1e-12)
         config = GameConfig(n_agents=2, k_bar=1, k_max=2, rng_seed=9)
         pop = initialize_population(config)
+        tables = _UrgencyTables.build(process)
         total = 0.0
         for _ in range(50):
             pop.u = np.array([1, 0])
-            rewards = run_round(pop, process, Mechanism("GREEDY_URGENCY"))
+            rewards = baseline_rewards(pop, tables, Mechanism("GREEDY_URGENCY"))
             total += rewards[0]
             assert rewards[0] == 0.0
             assert rewards[1] == -1.0
@@ -183,7 +188,7 @@ class TestRunRound:
                               policy=point_zero_policy(process.n_levels, config.k_max))
         pop = initialize_population(config)
         wins_before = pop.wins.copy()
-        run_round(pop, process, mechanism)
+        run_round(pop, _UrgencyTables.build(process), mechanism)
         winner_mask = pop.wins > wins_before
         # everyone bid zero at the lowest level: winners stay low with
         # probability 0.96, losers escalate with probability 0.96
@@ -197,10 +202,19 @@ class TestRunRound:
         pop = initialize_population(config)
         pop.karma[0] = config.k_max + 25  # balance far above the policy table
         total = pop.karma.sum()
+        tables = _UrgencyTables.build(process)
         for _ in range(50):
-            run_round(pop, process, mechanism)
+            run_round(pop, tables, mechanism)
             assert pop.karma.sum() == total
             assert pop.karma.min() >= 0
+
+
+def baseline_rewards(pop, tables, mechanism) -> np.ndarray:
+    """Play pop as a group of one and return its per-agent rewards: the
+    change in reward_sums, exact since every reward is an integer."""
+    before = pop.reward_sums.copy()
+    _baseline_round([pop], [mechanism], tables)
+    return pop.reward_sums - before
 
 
 def point_zero_policy(n_levels: int, k_max: int) -> np.ndarray:
@@ -475,32 +489,17 @@ def test_whole_run_pinned(case_process, kind):
     assert digests == PINNED_SHA256[kind]
 
 
-def test_urgency_tables_built_once_per_process(small_setup):
-    process, config = small_setup
-    mechanism = Mechanism("RANDOM")
-    pop = initialize_population(config)
-    run_round(pop, process, mechanism)
-    tables = pop.urgency_tables
-    run_round(pop, process, mechanism)
-    assert pop.urgency_tables is tables
-    assert pop.u.dtype == np.int64
-    other = build_urgency_process([1, 3], 0.1)
-    pop.u = np.minimum(pop.u, 1)
-    run_round(pop, other, mechanism)
-    assert pop.urgency_tables is not tables
-    assert pop.urgency_tables.cdf.shape == (4, 2)
-
-
 def test_karma_round_builds_no_per_agent_policy_rows(case_process):
     n, k_max = 20000, 160
     config = GameConfig(k_bar=10, k_max=k_max, n_agents=n, rng_seed=2)
     mechanism = Mechanism(kind=MechanismKind.KARMA,
                           policy=uniform_policy(case_process.n_levels, k_max))
     pop = initialize_population(config)
-    run_round(pop, case_process, mechanism)
+    tables = _UrgencyTables.build(case_process)
+    run_round(pop, tables, mechanism)
     tracemalloc.start()
     try:
-        run_round(pop, case_process, mechanism)
+        run_round(pop, tables, mechanism)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -529,10 +528,17 @@ def test_round_keeps_a_small_working_set(case_process, kind):
     policy = uniform_policy(case_process.n_levels, config.k_max) if kind == "KARMA" else None
     mechanism = Mechanism(kind, policy)
     pop = initialize_population(config)
-    for _ in range(3):  # spread the balances and build the urgency tables
-        run_round(pop, case_process, mechanism)
-    peak = traced_peak(lambda: run_round(pop, case_process, mechanism))
+    tables = _UrgencyTables.build(case_process)
+    play = ((lambda: run_round(pop, tables, mechanism)) if kind == "KARMA"
+            else (lambda: _baseline_round([pop], [mechanism], tables)))
+    for _ in range(3):  # spread the balances
+        play()
+    peak = traced_peak(play)
     assert peak < ROUND_PEAK_ARRAYS[kind] * n * 8
+
+
+# The baselines in compare's row order.
+BASELINES = [Mechanism(kind) for kind in ("RANDOM", "TURN", "GREEDY_URGENCY")]
 
 
 def test_baseline_group_peaks_below_karma(case_process, case_equilibrium):
@@ -547,7 +553,7 @@ def test_baseline_group_peaks_below_karma(case_process, case_equilibrium):
     karma = Mechanism.karma(case_equilibrium)
     peaks = {}
     for name, action in (("KARMA", lambda: run_experiment(case_process, config, karma)),
-                         ("baselines", lambda: simulation.run_baselines(case_process, config))):
+                         ("baselines", lambda: simulation.run_baselines(case_process, config, BASELINES))):
         action()  # a first run may import and cache; only the second is counted
         peaks[name] = traced_peak(action) / (n * 8)
     assert peaks["baselines"] < peaks["KARMA"] < 9.5
@@ -562,11 +568,33 @@ def test_baseline_populations_hold_only_what_their_rules_read(case_process, monk
         return pops[-1]
 
     monkeypatch.setattr(simulation, "_new_population", recorded)
-    simulation.run_baselines(case_process, GameConfig(n_agents=10, n_rounds=3, burn_in=1))
-    assert [pop.karma for pop in pops] == [None, None, None]
-    assert [pop.wins is not None for pop in pops] == [False, True, False]  # RANDOM, TURN, GREEDY
-    assert [pop.u.dtype for pop in pops] == [np.uint8] * 3
+    config = GameConfig(n_agents=10, n_rounds=3, burn_in=1)
+    simulation.run_baselines(case_process, config, BASELINES)
     assert pops[0].rng is pops[1].rng is pops[2].rng
+    for mechanism in BASELINES:  # the same three populations, one per experiment
+        run_experiment(case_process, config, mechanism)
+    assert [pop.karma for pop in pops] == [None, None, None] * 2
+    assert [pop.wins is not None for pop in pops] == [False, True, False] * 2  # RANDOM, TURN, GREEDY
+    assert [pop.u.dtype for pop in pops] == [np.uint8] * 6
+
+
+@pytest.mark.parametrize("kind", ["KARMA", "TURN", "group"])
+def test_urgency_tables_built_once_per_experiment(case_process, monkeypatch, kind):
+    builds = []
+    build = simulation._UrgencyTables.build
+
+    def recorded(process):
+        builds.append(process)
+        return build(process)
+
+    monkeypatch.setattr(simulation._UrgencyTables, "build", staticmethod(recorded))
+    config = GameConfig(n_agents=10, n_rounds=3, burn_in=1)
+    if kind == "group":
+        simulation.run_baselines(case_process, config, BASELINES)
+    else:
+        policy = uniform_policy(case_process.n_levels, config.k_max) if kind == "KARMA" else None
+        run_experiment(case_process, config, Mechanism(kind, policy))
+    assert builds == [case_process]
 
 
 def assert_reports_equal(got, expected) -> None:
@@ -585,7 +613,7 @@ def assert_reports_equal(got, expected) -> None:
 ], ids=["case-study-20250809", "case-study-7", "two-levels-two-agents"])
 def test_baselines_equal_their_own_experiments(levels, config):
     process = build_urgency_process(levels, 0.04)
-    reports = simulation.run_baselines(process, config)
+    reports = simulation.run_baselines(process, config, BASELINES)
     assert [report.mechanism for report in reports] == ["RANDOM", "TURN", "GREEDY_URGENCY"]
     for report in reports:
         assert_reports_equal(report, run_experiment(process, config, Mechanism(report.mechanism)))
@@ -659,8 +687,9 @@ class TestRunExperiment:
     def test_turn_equalizes_win_fractions(self, case_process, case_config):
         mechanism = Mechanism("TURN")
         pop = initialize_population(case_config)
+        tables = _UrgencyTables.build(case_process)
         for _ in range(case_config.burn_in + case_config.n_rounds):
-            run_round(pop, case_process, mechanism)
+            _baseline_round([pop], [mechanism], tables)
         fractions = pop.wins / (case_config.burn_in + case_config.n_rounds)
         assert fractions.min() >= 0.48
         assert fractions.max() <= 0.52
