@@ -3,6 +3,8 @@
 Every command times its stages with _timed, writes JSON with _write_json
 and CSV with _write_csv, and ends in _finish, which writes manifest.json
 and prints the summary. This is the only module that writes files.
+main first lets glibc's malloc keep freed memory (_keep_freed_memory),
+so the simulator's rounds reuse their arrays' pages.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 solver
 non-convergence, a value solve that misses tol_value, or LP failure,
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -66,11 +69,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _timed(timings: dict, name: str, fn, *args):
-    """fn(*args), with its wall seconds recorded as timings[name]."""
+def _minor_faults() -> int | None:
+    """This process's minor page faults so far; None without the resource module."""
+    try:
+        import resource
+    except ImportError:  # not on every platform
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _stages() -> dict:
+    """The manifest fields that _timed fills, empty."""
+    return {"timings": {}, "minor_faults": {}}
+
+
+def _timed(stages: dict, name: str, fn, *args):
+    """fn(*args), with its wall seconds recorded as stages["timings"][name +
+    "_seconds"] and its minor page faults as stages["minor_faults"][name]."""
+    faults = _minor_faults()
     start = time.perf_counter()
     value = fn(*args)
-    timings[name] = time.perf_counter() - start
+    stages["timings"][f"{name}_seconds"] = time.perf_counter() - start
+    if faults is not None:
+        stages["minor_faults"][name] = _minor_faults() - faults
     return value
 
 
@@ -87,9 +108,9 @@ def _write_csv(path: Path, header: str, lines) -> None:
         out.writelines(f"{line}\n" for line in lines)
 
 
-def _solve(setup: RunSetup, timings: dict) -> EquilibriumResult:
-    result = _timed(timings, "solve_seconds", solve_sne, setup.process, setup.game, setup.solver)
-    timings.update(result.timings)
+def _solve(setup: RunSetup, stages: dict) -> EquilibriumResult:
+    result = _timed(stages, "solve", solve_sne, setup.process, setup.game, setup.solver)
+    stages["timings"].update(result.timings)
     return result
 
 
@@ -143,25 +164,25 @@ def _finish(out: Path, setup: RunSetup, command: str, text: str, **fields) -> in
 
 
 def cmd_solve(setup: RunSetup, out: Path) -> int:
-    timings: dict = {}
-    result = _solve(setup, timings)
+    stages = _stages()
+    result = _solve(setup, stages)
     outputs = _write_equilibrium_files(out, setup, result)
     _finish(out, setup, "solve", json.dumps(result.summary(), indent=2),
-            outputs=outputs, timings=timings)
+            outputs=outputs, **stages)
     return EXIT_OK if result.converged else _no_convergence(setup, result)
 
 
 def cmd_simulate(setup: RunSetup, mechanism_name: str, out: Path, fmt: str) -> int:
     kind = _MECHANISM_NAMES[mechanism_name]
-    timings: dict = {}
+    stages = _stages()
     if kind is MechanismKind.KARMA:
-        result = _solve(setup, timings)
+        result = _solve(setup, stages)
         if not result.converged:
             return _no_convergence(setup, result)
         mechanism = Mechanism.karma(result)
     else:
         mechanism = Mechanism(kind)
-    report = _timed(timings, "simulate_seconds", run_experiment, setup.process, setup.game, mechanism)
+    report = _timed(stages, "simulate", run_experiment, setup.process, setup.game, mechanism)
 
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / f"metrics_{kind.value.lower()}.json"
@@ -180,25 +201,25 @@ def cmd_simulate(setup: RunSetup, mechanism_name: str, out: Path, fmt: str) -> i
     else:
         text = f"mechanism,r_bar,beta\n{kind.value},{report.r_bar!r},{report.beta!r}"
     return _finish(out, setup, "simulate", text, mechanisms=[kind.value],
-                   outputs={"metrics": str(metrics_path), "trace": str(trace_path)}, timings=timings)
+                   outputs={"metrics": str(metrics_path), "trace": str(trace_path)}, **stages)
 
 
 def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
-    timings: dict = {}
-    result = _solve(setup, timings)
+    stages = _stages()
+    result = _solve(setup, stages)
     if not result.converged:
         return _no_convergence(setup, result)
-    lp_value, _psi = _timed(timings, "lp_seconds", solve_lp, build_max_eff_lp(setup.process))
+    lp_value, _psi = _timed(stages, "lp", solve_lp, build_max_eff_lp(setup.process))
     outputs = _write_equilibrium_files(out, setup, result)
 
     def row_of(report):
         return report.mechanism, repr(report.r_bar), repr(report.beta)
 
     # Only KARMA's row outlives its report, so the baselines run without it.
-    rows = [row_of(_timed(timings, "simulate_karma_seconds",
+    rows = [row_of(_timed(stages, "simulate_karma",
                           run_experiment, setup.process, setup.game, Mechanism.karma(result)))]
     baselines = [Mechanism(kind) for kind in ("RANDOM", "TURN", "GREEDY_URGENCY")]
-    rows += map(row_of, _timed(timings, "simulate_baselines_seconds",
+    rows += map(row_of, _timed(stages, "simulate_baselines",
                                run_baselines, setup.process, setup.game, baselines))
     rows.append(("MAX_EFF_LP", repr(lp_value), ""))
 
@@ -212,13 +233,13 @@ def cmd_compare(setup: RunSetup, out: Path, fmt: str) -> int:
     else:
         text = "\n".join([header, *lines])
     return _finish(out, setup, "compare", text, mechanisms=[row[0] for row in rows],
-                   outputs=outputs, timings=timings)
+                   outputs=outputs, **stages)
 
 
 def cmd_lp(setup: RunSetup, out: Path) -> int:
     problem = build_max_eff_lp(setup.process)
-    timings: dict = {}
-    value, psi = _timed(timings, "lp_seconds", solve_lp, problem)
+    stages = _stages()
+    value, psi = _timed(stages, "lp", solve_lp, problem)
     doc = {
         "r_bar_max": value,
         "psi": [
@@ -229,12 +250,45 @@ def cmd_lp(setup: RunSetup, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "lp.json", doc)
     return _finish(out, setup, "lp", json.dumps(doc, indent=2),
-                   outputs={"lp": str(out / "lp.json")}, timings=timings)
+                   outputs={"lp": str(out / "lp.json")}, **stages)
+
+
+# glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep freed memory in the process for reuse.
+
+    A simulated round frees its N-length arrays and the next round
+    allocates them again. By default glibc returns the top of its heap to
+    the kernel once more than twice the largest recently freed block lies
+    free there, so every round faulted those pages back in: in a compare
+    at N = 10**5, about 134 000 minor faults in KARMA's stage and 139 000
+    in the baselines', against 2 300 and 0 with this setting. Blocks up
+    to 32 MiB (glibc's cap) now come from the heap, and freed heap memory
+    goes back only beyond 1 GiB. Where libc is not glibc, or has no
+    mallopt, nothing changes.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _keep_freed_memory()
     try:
         setup = load_config(args.config)
         if args.seed is not None:

@@ -136,7 +136,9 @@ def load_config(path: str | Path | None) -> RunSetup:
 @dataclass
 class RunManifest:
     """Self-contained record of one CLI run, written as manifest.json with
-    sorted keys; every field survives a JSON round trip."""
+    sorted keys; every field survives a JSON round trip. timings holds
+    each stage's wall seconds, minor_faults each timed stage's minor page
+    faults (none where the platform has no resource module)."""
 
     command: str
     config: dict
@@ -144,3 +146,4 @@ class RunManifest:
     mechanisms: list = field(default_factory=list)
     outputs: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    minor_faults: dict = field(default_factory=dict)

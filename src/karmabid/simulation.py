@@ -465,6 +465,9 @@ def run_baselines(
     its urgencies in one byte while there are at most 256 levels: a group
     of three peaks below KARMA's run_experiment.
     """
+    if not mechanisms or any(m.kind is MechanismKind.KARMA for m in mechanisms):
+        raise ParameterError(f"mechanisms must hold one or more baselines, got "
+                             f"{[m.kind.value for m in mechanisms]}")
     rng = np.random.default_rng(config.rng_seed)
     tables = _UrgencyTables.build(process)
     u_dtype = np.min_scalar_type(process.n_levels - 1)

@@ -1,14 +1,22 @@
 """Command-line tests: exit codes, file outputs, manifest reproducibility."""
 
+import ctypes
 import dataclasses
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import karmabid
 from karmabid import ParameterError, RunSetup, build_max_eff_lp, load_config, solve_lp, solve_sne
+from karmabid import cli
 from karmabid.cli import main
 from karmabid.config import DEFAULTS, RunManifest, setup_from_mapping
 
@@ -366,6 +374,16 @@ class TestCompareCommand:
         assert sum(timings[name] for name in stages) <= timings["solve_seconds"]
         assert all(value >= 0 for value in timings.values())
 
+    def test_manifest_counts_faults_per_timed_stage(self, tiny_config, tmp_path):
+        pytest.importorskip("resource")
+        out = tmp_path / "a"
+        assert main(["compare", "--config", str(tiny_config), "--out", str(out)]) == 0
+        manifest = RunManifest(**json.loads((out / "manifest.json").read_text()))
+        assert set(manifest.minor_faults) == {"solve", "lp", "simulate_karma", "simulate_baselines"}
+        assert all(type(n) is int and n >= 0 for n in manifest.minor_faults.values())
+        assert {f"{stage}_seconds" for stage in manifest.minor_faults} <= set(manifest.timings)
+        assert load_config(out / "manifest.json").raw == manifest.config
+
     def test_seed_override_changes_rows(self, tiny_config, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -420,3 +438,78 @@ def test_manifest_names_the_outputs_and_timings(argv, outputs, timings, tiny_con
               "solve_update_seconds"}
     assert set(manifest.timings) == timings | (stages if "solve_seconds" in timings else set())
     assert all(value >= 0 for value in manifest.timings.values())
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_main_keeps_freed_memory_before_each_command(argv, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append("keep"))
+    for name in ("solve", "simulate", "compare", "lp"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda *args, name=name: calls.append(name) or 0)
+    assert main(argv) == 0
+    assert calls == ["keep", argv[0]]
+
+
+class NoMallopt:
+    """A libc handle without mallopt, as ctypes.CDLL(None) gives off glibc."""
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+class RecordingLibc:
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+def test_keep_freed_memory_without_mallopt_does_nothing(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: NoMallopt())
+    cli._keep_freed_memory()
+
+
+def test_keep_freed_memory_sets_both_thresholds(monkeypatch):
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("mallopt is set only under glibc")
+    libc = RecordingLibc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    cli._keep_freed_memory()
+    assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+CHURN = """
+import resource, sys
+import numpy as np
+from karmabid.cli import _keep_freed_memory
+if sys.argv[1] == "keep":
+    _keep_freed_memory()
+def churn():  # what a round does: allocate N-length arrays, then free them
+    for _ in range(20):
+        arrays = [np.ones(100_000) for _ in range(4)]
+        del arrays
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_freed_arrays_stay_in_the_process():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the trim rule measured here is glibc's")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = str(Path(karmabid.__file__).parents[1])
+    faults = {mode: int(subprocess.run([sys.executable, "-c", CHURN, mode], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+              for mode in ("default", "keep")}
+    # 20 rounds of four 800 KB arrays are 15 600 pages. glibc's default
+    # trim hands most of them back and faults them in again; a host whose
+    # defaults keep them shows nothing to cut.
+    if faults["default"] <= 5000:
+        pytest.skip(f"the default allocator kept its freed arrays ({faults['default']} faults)")
+    assert faults["keep"] < 500

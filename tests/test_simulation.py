@@ -597,6 +597,17 @@ def test_urgency_tables_built_once_per_experiment(case_process, monkeypatch, kin
     assert builds == [case_process]
 
 
+@pytest.mark.parametrize("kinds", [[], ["RANDOM", "KARMA"]], ids=["empty", "karma"])
+def test_baselines_reject_karma_and_an_empty_group(case_process, kinds):
+    # Unchecked, KARMA's missing bids failed with a TypeError in
+    # _pick_winners and an empty group with an IndexError.
+    config = GameConfig(n_agents=4, n_rounds=2, burn_in=0)
+    policy = uniform_policy(case_process.n_levels, config.k_max)
+    mechanisms = [Mechanism(kind, policy if kind == "KARMA" else None) for kind in kinds]
+    with pytest.raises(ParameterError, match="mechanisms"):
+        simulation.run_baselines(case_process, config, mechanisms)
+
+
 def assert_reports_equal(got, expected) -> None:
     assert (got.mechanism, got.seed, got.n_agents, got.n_rounds, got.burn_in) == (
         expected.mechanism, expected.seed, expected.n_agents, expected.n_rounds, expected.burn_in)
