@@ -265,11 +265,11 @@ def _keep_freed_memory() -> None:
     allocates them again. By default glibc returns the top of its heap to
     the kernel once more than twice the largest recently freed block lies
     free there, so every round faulted those pages back in: in a compare
-    at N = 10**5, about 134 000 minor faults in KARMA's stage and 139 000
-    in the baselines', against 2 300 and 0 with this setting. Blocks up
-    to 32 MiB (glibc's cap) now come from the heap, and freed heap memory
-    goes back only beyond 1 GiB. Where libc is not glibc, or has no
-    mallopt, nothing changes.
+    at N = 10**5 under glibc 2.36 on x86_64, about 86 000 minor faults
+    in KARMA's stage and 138 000 in the baselines', against 2 300 and 0
+    with this setting. Blocks up to 32 MiB (glibc's cap) now come from
+    the heap, and freed heap memory goes back only beyond 1 GiB. Where
+    libc is not glibc, or has no mallopt, nothing changes.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -450,36 +451,20 @@ def test_main_keeps_freed_memory_before_each_command(argv, monkeypatch):
     assert calls == ["keep", argv[0]]
 
 
-class NoMallopt:
-    """A libc handle without mallopt, as ctypes.CDLL(None) gives off glibc."""
-
-    def __getattr__(self, name):
-        raise AttributeError(name)
-
-
-class RecordingLibc:
-    def __init__(self):
-        self.calls = []
-
-        def mallopt(param, value):
-            self.calls.append((param, value))
-            return 1
-
-        self.mallopt = mallopt
-
-
 def test_keep_freed_memory_without_mallopt_does_nothing(monkeypatch):
-    monkeypatch.setattr(ctypes, "CDLL", lambda name: NoMallopt())
+    # A libc handle without mallopt, as ctypes.CDLL(None) gives off glibc.
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
     cli._keep_freed_memory()
 
 
 def test_keep_freed_memory_sets_both_thresholds(monkeypatch):
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("mallopt is set only under glibc")
-    libc = RecordingLibc()
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
     monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
     cli._keep_freed_memory()
-    assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert calls == [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
 
 
 CHURN = """
