@@ -48,8 +48,10 @@ from time import perf_counter
 
 import numpy as np
 
-# CPython's built-in SHA-256. hashlib loads OpenSSL, which alone raised the
-# peak resident memory of a k_max = 160 compare by 3.6 MB (8 %).
+# CPython's built-in SHA-256, so solve and lp never load OpenSSL: solve
+# peaked at 30.9 MB, 34.5 MB with hashlib. simulate and compare load it
+# anyway, as numpy.random's first generator imports secrets, hmac, hashlib
+# (k_max = 160 compare: 40.3-40.4 MB, 40.5-40.6 MB with hashlib first).
 try:
     from _sha256 import sha256  # Python <= 3.11
 except ImportError:

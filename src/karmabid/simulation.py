@@ -33,7 +33,8 @@ each round's permutation, tie coins and urgency uniforms, so under one
 seed their draws are the same: _baseline_round plays any group of them
 on one generator that draws each value once. simulate plays a group of
 one and compare a group of three, and a population's reports are the
-same bit for bit in either.
+same bit for bit in either. initialize_population builds every
+population from its mechanism alone, whichever runner plays it.
 """
 
 from __future__ import annotations
@@ -136,12 +137,8 @@ class _UrgencyTables:
 
 @dataclass
 class Population:
-    """State of the N simulated agents, stored as parallel arrays.
-
-    run_baselines' populations leave karma None, and wins too except
-    TURN's, since nothing reads them there; their u is the smallest
-    unsigned type that holds every urgency level.
-    """
+    """State of the N simulated agents, stored as parallel arrays; which
+    arrays, and in which types, initialize_population decides."""
 
     u: np.ndarray
     karma: Optional[np.ndarray]
@@ -192,22 +189,32 @@ class MetricsReport:
         }
 
 
-def initialize_population(config: GameConfig) -> Population:
-    """Fresh population: everyone at the lowest urgency with exactly k_bar
-    karma (total N * k_bar), counters zeroed, generator seeded."""
-    return _new_population(config, np.random.default_rng(config.rng_seed), karma=True, wins=True)
-
-
-def _new_population(
-    config: GameConfig, rng: np.random.Generator, karma: bool, wins: bool, u_dtype=np.int64
+def initialize_population(
+    process: UrgencyProcess, config: GameConfig, mechanism: Mechanism,
+    rng: Optional[np.random.Generator] = None,
 ) -> Population:
+    """Fresh population for mechanism to play, everyone at the lowest
+    urgency, on rng or else a generator seeded from config.rng_seed. It
+    holds what the mechanism's round reads: k_bar karma each under KARMA,
+    a win counter under TURN, and u in int64 under KARMA (its bid-table
+    row u * (k_max + 1) + k is formed in u's type), else in the smallest
+    unsigned type that holds every urgency level.
+
+    Raises:
+        ParameterError: if a KARMA policy has another number of urgency
+            levels than the process.
+    """
+    karma = mechanism.kind is MechanismKind.KARMA
+    if karma and mechanism.policy.shape[0] != process.n_levels:
+        raise ParameterError(f"policy has {mechanism.policy.shape[0]} urgency levels, "
+                             f"the process {process.n_levels}")
     n = config.n_agents
     return Population(
-        u=np.zeros(n, dtype=u_dtype),
+        u=np.zeros(n, dtype=np.int64 if karma else np.min_scalar_type(process.n_levels - 1)),
         karma=np.full(n, config.k_bar, dtype=np.int64) if karma else None,
-        wins=np.zeros(n, dtype=np.int64) if wins else None,
+        wins=np.zeros(n, dtype=np.int64) if mechanism.kind is MechanismKind.TURN else None,
         reward_sums=np.zeros(n, dtype=float),
-        rng=rng,
+        rng=np.random.default_rng(config.rng_seed) if rng is None else rng,
     )
 
 
@@ -441,15 +448,11 @@ def run_experiment(
     run_baselines' group of one.
 
     Raises:
-        ParameterError: if a KARMA policy has another number of urgency
-            levels than the process.
+        ParameterError: as initialize_population.
     """
     if mechanism.kind is not MechanismKind.KARMA:
         return run_baselines(process, config, [mechanism])[0]
-    if mechanism.policy.shape[0] != process.n_levels:
-        raise ParameterError(f"policy has {mechanism.policy.shape[0]} urgency levels, "
-                             f"the process {process.n_levels}")
-    pop = initialize_population(config)
+    pop = initialize_population(process, config, mechanism)
     tables = _UrgencyTables.build(process)
     return _measure(process, config, [mechanism], [pop],
                     lambda: [run_round(pop, tables, mechanism).mean()])[0]
@@ -461,18 +464,12 @@ def run_baselines(
     """The reports of the baselines (RANDOM, TURN or GREEDY_URGENCY) in
     mechanisms, in that order, played by _baseline_round on one generator
     seeded from config.rng_seed. A report does not depend on the group.
-    The populations hold no karma, only TURN's counts wins, and each keeps
-    its urgencies in one byte while there are at most 256 levels: a group
-    of three peaks below KARMA's run_experiment.
     """
     if not mechanisms or any(m.kind is MechanismKind.KARMA for m in mechanisms):
         raise ParameterError(f"mechanisms must hold one or more baselines, got "
                              f"{[m.kind.value for m in mechanisms]}")
     rng = np.random.default_rng(config.rng_seed)
     tables = _UrgencyTables.build(process)
-    u_dtype = np.min_scalar_type(process.n_levels - 1)
-    pops = [_new_population(config, rng, karma=False, wins=mechanism.kind is MechanismKind.TURN,
-                            u_dtype=u_dtype)
-            for mechanism in mechanisms]
+    pops = [initialize_population(process, config, mechanism, rng) for mechanism in mechanisms]
     return _measure(process, config, mechanisms, pops,
                     lambda: _baseline_round(pops, mechanisms, tables))

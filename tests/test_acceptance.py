@@ -196,7 +196,7 @@ def test_criterion_7_literal_lp_efficiency_bar(lp_solution, seeded_reports):
 
 def test_criterion_8_exact_karma_conservation(case_process, case_config, case_equilibrium):
     mechanism = Mechanism.karma(case_equilibrium)
-    pop = initialize_population(case_config)
+    pop = initialize_population(case_process, case_config, mechanism)
     tables = _UrgencyTables.build(case_process)
     expected_total = case_config.n_agents * case_config.k_bar
     violations = 0

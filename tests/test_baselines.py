@@ -102,6 +102,18 @@ class TestSolveLp:
             report = run_experiment(case_process, config, mechanism)
             assert report.r_bar <= value + 0.02 * abs(value)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "r_bar is the mean of per-agent averages, each rounded, so where exactly half the "
+        "agents lose at level 3 every round RANDOM and GREEDY_URGENCY read "
+        "-1.4999999999999998, one ulp above the LP value -1.5"))
+    def test_single_level_bound_holds_to_the_last_bit(self):
+        process = single_level_process(3)
+        config = GameConfig(n_agents=10, n_rounds=5, burn_in=1, k_bar=1, k_max=2, rng_seed=1)
+        value, _ = solve_lp(build_max_eff_lp(process))
+        assert value == -1.5
+        for kind in ("RANDOM", "TURN", "GREEDY_URGENCY"):
+            assert run_experiment(process, config, Mechanism(kind)).r_bar <= value
+
     def test_infeasible_problem_raises_cleanly(self):
         problem = LpProblem(
             c=np.zeros(2),
@@ -176,11 +188,12 @@ class TestTurnChoose:
 
     def test_two_agents_alternate_to_half(self, case_process):
         config = GameConfig(n_agents=2, rng_seed=7)
-        pop = initialize_population(config)
+        mechanism = Mechanism("TURN")
+        pop = initialize_population(case_process, config, mechanism)
         tables = _UrgencyTables.build(case_process)
         rounds = 1000
         for _ in range(rounds):
-            _baseline_round([pop], [Mechanism("TURN")], tables)
+            _baseline_round([pop], [mechanism], tables)
         # The counters are updated every round, so the two agents take
         # turns and their win counts never differ by more than one.
         assert int(pop.wins.sum()) == rounds

@@ -467,6 +467,27 @@ def test_keep_freed_memory_sets_both_thresholds(monkeypatch):
     assert calls == [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
 
 
+# Runs one command, then fails if it loaded OpenSSL's _hashlib.
+WITHOUT_OPENSSL = """
+import sys
+from karmabid.cli import main
+assert main(sys.argv[1:]) == 0
+assert "_hashlib" not in sys.modules, "the command loaded _hashlib"
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "lp"])
+def test_solve_and_lp_load_no_openssl(tmp_path, command):
+    # equilibrium takes sha256 from CPython's built-in module, _sha256 up
+    # to 3.11 and _sha2 from 3.12, so these commands never import hashlib.
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    env = dict(os.environ, PYTHONPATH=str(Path(karmabid.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", WITHOUT_OPENSSL, command, "--config", str(config),
+                          "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 CHURN = """
 import resource, sys
 import numpy as np
