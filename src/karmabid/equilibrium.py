@@ -49,9 +49,9 @@ from time import perf_counter
 import numpy as np
 
 # CPython's built-in SHA-256, so solve and lp never load OpenSSL: solve
-# peaked at 30.9 MB, 34.5 MB with hashlib. simulate and compare load it
-# anyway, as numpy.random's first generator imports secrets, hmac, hashlib
-# (k_max = 160 compare: 40.3-40.4 MB, 40.5-40.6 MB with hashlib first).
+# peaked at 30.9 MB, 34.5 MB with hashlib. numpy.random's first import
+# loads secrets, hmac and hashlib; cli.main runs it for simulate and
+# compare with _hashlib blocked, so those take the built-ins too.
 try:
     from _sha256 import sha256  # Python <= 3.11
 except ImportError:

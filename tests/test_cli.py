@@ -445,10 +445,14 @@ def test_manifest_names_the_outputs_and_timings(argv, outputs, timings, tiny_con
 def test_main_keeps_freed_memory_before_each_command(argv, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append("keep"))
+    monkeypatch.setattr(cli, "_load_numpy_random_without_openssl",
+                        lambda: calls.append("numpy.random"))
     for name in ("solve", "simulate", "compare", "lp"):
         monkeypatch.setattr(cli, f"cmd_{name}", lambda *args, name=name: calls.append(name) or 0)
     assert main(argv) == 0
-    assert calls == ["keep", argv[0]]
+    # Only the two commands that draw import numpy.random.
+    draws = ["numpy.random"] if argv[0] in ("simulate", "compare") else []
+    assert calls == ["keep", *draws, argv[0]]
 
 
 def test_keep_freed_memory_without_mallopt_does_nothing(monkeypatch):
@@ -467,25 +471,67 @@ def test_keep_freed_memory_sets_both_thresholds(monkeypatch):
     assert calls == [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
 
 
-# Runs one command, then fails if it loaded OpenSSL's _hashlib.
+# Runs one command, then fails if it loaded OpenSSL's _hashlib, or if
+# solve or lp imported numpy.random. The process must still draw OS
+# entropy (numpy.random through secrets) and compute an HMAC.
 WITHOUT_OPENSSL = """
 import sys
 from karmabid.cli import main
 assert main(sys.argv[1:]) == 0
 assert "_hashlib" not in sys.modules, "the command loaded _hashlib"
+if sys.argv[1] in ("solve", "lp"):
+    assert "numpy.random" not in sys.modules, "the command imported numpy.random"
+import hmac
+import numpy as np
+np.random.SeedSequence()
+hmac.new(b"k", b"m", "sha256").digest()
+"""
+
+# Imports hashlib, so OpenSSL's _hashlib, before main runs a command.
+WITH_OPENSSL_FIRST = """
+import hashlib, hmac, sys
+real = sys.modules["_hashlib"]
+import numpy as np
+from karmabid.cli import main
+assert main(sys.argv[1:]) == 0
+assert sys.modules["_hashlib"] is real, sys.modules["_hashlib"]
+np.random.SeedSequence()
+hmac.new(b"k", b"m", "sha256").digest()
 """
 
 
-@pytest.mark.parametrize("command", ["solve", "lp"])
-def test_solve_and_lp_load_no_openssl(tmp_path, command):
-    # equilibrium takes sha256 from CPython's built-in module, _sha256 up
-    # to 3.11 and _sha2 from 3.12, so these commands never import hashlib.
+def run_main_in_subprocess(script, tmp_path, argv):
     config = tmp_path / "tiny.cfg"
     config.write_text(TINY_CONFIG)
     env = dict(os.environ, PYTHONPATH=str(Path(karmabid.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", WITHOUT_OPENSSL, command, "--config", str(config),
-                          "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", script, *argv, "--config", str(config),
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["simulate", "--mechanism", "random"],
+                                  ["simulate", "--mechanism", "karma"], ["compare"], ["lp"]],
+                         ids=["solve", "simulate_random", "simulate_karma", "compare", "lp"])
+def test_commands_load_no_openssl(tmp_path, argv):
+    # equilibrium takes sha256 from CPython's built-in module, _sha256 up
+    # to 3.11 and _sha2 from 3.12, so solve and lp never import hashlib.
+    # simulate and compare import numpy.random with _hashlib blocked, so
+    # hashlib and hmac fall back to the same built-ins.
+    run = run_main_in_subprocess(WITHOUT_OPENSSL, tmp_path, argv)
     assert run.returncode == 0, run.stderr
+
+
+def test_loaded_openssl_is_kept(tmp_path):
+    pytest.importorskip("_hashlib")  # a CPython built without OpenSSL has none
+    run = run_main_in_subprocess(WITH_OPENSSL_FIRST, tmp_path, ["compare"])
+    assert run.returncode == 0, run.stderr
+
+
+def test_blocked_hashlib_is_unblocked_when_the_import_fails(monkeypatch):
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    monkeypatch.setitem(sys.modules, "numpy.random", None)  # its import now fails
+    with pytest.raises(ImportError):
+        cli._load_numpy_random_without_openssl()
+    assert "_hashlib" not in sys.modules
 
 
 CHURN = """
