@@ -4,10 +4,10 @@ Every command times its stages with _timed, writes JSON with _write_json
 and CSV with _write_csv, and ends in _finish, which writes manifest.json
 and prints the summary. This is the only module that writes files.
 main first lets glibc's malloc keep freed memory (_keep_freed_memory),
-so the simulator's rounds reuse their arrays' pages. Before simulate and
-compare it imports numpy.random without OpenSSL
-(_load_numpy_random_without_openssl); both settings hold only in the
-CLI's process, and library users keep the defaults.
+so the simulator's rounds reuse their arrays' pages, then blocks
+OpenSSL's _hashlib around every command, so that hashlib and hmac take
+CPython's built-in digests. Both settings hold only in the CLI's
+process; library users keep the defaults.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 solver
 non-convergence, a value solve that misses tol_value, or LP failure,
@@ -288,36 +288,22 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
-def _load_numpy_random_without_openssl() -> None:
-    """Import numpy.random with hashlib and hmac on CPython's built-in digests.
-
-    numpy.random's first import loads secrets, which imports hmac and
-    hashlib, and they import _hashlib, which loads OpenSSL's libcrypto:
-    3.3 MB of resident memory that no command hashes with. With _hashlib
-    blocked for the length of that import, the modules that first load
-    in it take CPython's documented fallbacks, the built-in _sha256 or
-    _sha2 digests and _operator._compare_digest. No draw, seed or output
-    byte changes. A process that loaded _hashlib before keeps it.
-    """
-    if "_hashlib" in sys.modules:
-        return
-    sys.modules["_hashlib"] = None  # an import of it now raises ImportError
-    try:
-        import numpy.random
-    finally:
-        del sys.modules["_hashlib"]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _keep_freed_memory()
+    # OpenSSL's libcrypto is 3.3 MB of resident memory that no command
+    # hashes with. With _hashlib blocked, hashlib, hmac and secrets take
+    # CPython's built-in digests; a process that loaded it first keeps it.
+    block_openssl = "_hashlib" not in sys.modules
+    if block_openssl:
+        sys.modules["_hashlib"] = None  # an import of it now raises ImportError
     try:
         setup = load_config(args.config)
         if args.seed is not None:
             setup = setup.with_seed(args.seed)
         if args.command in ("simulate", "compare"):
-            _load_numpy_random_without_openssl()
+            import numpy.random  # it loads secrets, hmac and hashlib: here, not in a timed stage
         if args.command == "solve":
             return cmd_solve(setup, args.out)
         if args.command == "simulate":
@@ -337,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if block_openssl:
+            del sys.modules["_hashlib"]
 
 
 if __name__ == "__main__":

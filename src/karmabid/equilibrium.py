@@ -48,18 +48,6 @@ from time import perf_counter
 
 import numpy as np
 
-# CPython's built-in SHA-256, so solve and lp never load OpenSSL: solve
-# peaked at 30.9 MB, 34.5 MB with hashlib. numpy.random's first import
-# loads secrets, hmac and hashlib; cli.main runs it for simulate and
-# compare with _hashlib blocked, so those take the built-ins too.
-try:
-    from _sha256 import sha256  # Python <= 3.11
-except ImportError:
-    try:
-        from _sha2 import sha256  # Python >= 3.12
-    except ImportError:
-        from hashlib import sha256
-
 from .model import (
     GameConfig,
     ParameterError,
@@ -214,6 +202,7 @@ class EquilibriumResult:
 
     @property
     def equilibrium_fingerprint(self) -> str:
+        from hashlib import sha256  # here: the package is imported before cli.main can block anything
         starts = bid_layout(self.social.k_max)[0]
         pi = self.social.pi
         bids = [pi[u, starts[k]:starts[k] + k + 1].argmax()

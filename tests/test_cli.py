@@ -443,16 +443,15 @@ def test_manifest_names_the_outputs_and_timings(argv, outputs, timings, tiny_con
 
 @pytest.mark.parametrize("argv", COMMANDS)
 def test_main_keeps_freed_memory_before_each_command(argv, monkeypatch):
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
     calls = []
     monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append("keep"))
-    monkeypatch.setattr(cli, "_load_numpy_random_without_openssl",
-                        lambda: calls.append("numpy.random"))
     for name in ("solve", "simulate", "compare", "lp"):
-        monkeypatch.setattr(cli, f"cmd_{name}", lambda *args, name=name: calls.append(name) or 0)
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda *args, name=name: calls.append(
+            (name, sys.modules.get("_hashlib", "absent"))) or 0)
     assert main(argv) == 0
-    # Only the two commands that draw import numpy.random.
-    draws = ["numpy.random"] if argv[0] in ("simulate", "compare") else []
-    assert calls == ["keep", *draws, argv[0]]
+    # The malloc setting comes first, and every command runs with _hashlib blocked.
+    assert calls == ["keep", (argv[0], None)]
 
 
 def test_keep_freed_memory_without_mallopt_does_nothing(monkeypatch):
@@ -512,10 +511,10 @@ def run_main_in_subprocess(script, tmp_path, argv):
                                   ["simulate", "--mechanism", "karma"], ["compare"], ["lp"]],
                          ids=["solve", "simulate_random", "simulate_karma", "compare", "lp"])
 def test_commands_load_no_openssl(tmp_path, argv):
-    # equilibrium takes sha256 from CPython's built-in module, _sha256 up
-    # to 3.11 and _sha2 from 3.12, so solve and lp never import hashlib.
-    # simulate and compare import numpy.random with _hashlib blocked, so
-    # hashlib and hmac fall back to the same built-ins.
+    # main blocks _hashlib around every command, so the hashlib that solve's
+    # fingerprint imports and the hmac and hashlib that numpy.random's
+    # secrets imports take CPython's built-in digests (_sha256 up to 3.11,
+    # _sha2 from 3.12).
     run = run_main_in_subprocess(WITHOUT_OPENSSL, tmp_path, argv)
     assert run.returncode == 0, run.stderr
 
@@ -526,12 +525,66 @@ def test_loaded_openssl_is_kept(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_blocked_hashlib_is_unblocked_when_the_import_fails(monkeypatch):
+def _escape(*args):
+    raise RuntimeError("escapes main")
+
+
+@pytest.mark.parametrize("case, code", [("ok", 0), ("unknown_key", 2), ("out_below_a_file", 4),
+                                        ("exception", None)])
+def test_no_hashlib_entry_is_left_on_any_exit(case, code, tiny_config, tmp_path, monkeypatch):
     monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
-    monkeypatch.setitem(sys.modules, "numpy.random", None)  # its import now fails
-    with pytest.raises(ImportError):
-        cli._load_numpy_random_without_openssl()
+    config, out = tiny_config, tmp_path / "out"
+    if case == "unknown_key":
+        config = tmp_path / "bad.cfg"
+        config.write_text("alpa = 0.9\n")
+    elif case == "out_below_a_file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    elif case == "exception":
+        monkeypatch.setattr(cli, "cmd_lp", _escape)
+    argv = ["lp", "--config", str(config), "--out", str(out)]
+    if code is None:
+        with pytest.raises(RuntimeError, match="escapes main"):
+            main(argv)
+    else:
+        assert main(argv) == code
     assert "_hashlib" not in sys.modules
+
+
+# Wraps cmd_simulate and cmd_compare to record, on entry, whether
+# numpy.random is loaded, then runs one command under main.
+NUMPY_RANDOM_FIRST = """
+import sys
+from karmabid import cli
+loaded = []
+for name in ("cmd_simulate", "cmd_compare"):
+    def wrapped(*args, command=getattr(cli, name)):
+        loaded.append("numpy.random" in sys.modules)
+        return command(*args)
+    setattr(cli, name, wrapped)
+assert cli.main(sys.argv[1:]) == 0
+assert loaded == [True], loaded
+"""
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--mechanism", "random"],
+                                  ["simulate", "--mechanism", "karma"], ["compare"]],
+                         ids=["simulate_random", "simulate_karma", "compare"])
+def test_numpy_random_loads_before_the_timed_stages(tmp_path, argv):
+    # Otherwise its first import (10-15 ms) would land in simulate*_seconds.
+    run = run_main_in_subprocess(NUMPY_RANDOM_FIRST, tmp_path, argv)
+    assert run.returncode == 0, run.stderr
+
+
+def test_one_fingerprint_from_both_sha256_backends(tmp_path):
+    # solve under main hashes on CPython's built-in digest; this process
+    # hashes through hashlib, on OpenSSL where it is present.
+    run = run_main_in_subprocess(WITHOUT_OPENSSL, tmp_path, ["solve"])
+    assert run.returncode == 0, run.stderr
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    setup = load_config(tmp_path / "tiny.cfg")
+    result = solve_sne(setup.process, setup.game, setup.solver)
+    assert summary["equilibrium_fingerprint"] == result.equilibrium_fingerprint
 
 
 CHURN = """
